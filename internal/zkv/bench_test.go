@@ -69,3 +69,20 @@ func BenchmarkZKVGetParallel(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkServerPipelined16 is rung 3 of the serving ladder run
+// in-process: one op is a 16-deep pipelined GET burst from a client
+// through a Server over loopback, replies read.
+func BenchmarkServerPipelined16(b *testing.B) {
+	srv, addr, errc := startServer(b, ServerConfig{})
+	defer shutdownServer(b, srv, errc)
+	g := newGetBurst(b, addr)
+	defer g.cl.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := g.run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -35,13 +35,17 @@ type ServerConfig struct {
 	// for this long (default 5m; negative disables). An idle slot is a
 	// pool slot a paying client cannot have.
 	IdleTimeout time.Duration
-	// ReadTimeout bounds how long a request frame may take to arrive
-	// once its first byte is in (default 10s; negative disables). This is
-	// the slow-loris guard: a reader trickling header bytes is
-	// force-closed, not waited on.
+	// ReadTimeout bounds how long the server waits for the rest of a
+	// request frame it has started but not fully received (default 10s;
+	// negative disables). It is armed afresh before each decode that must
+	// read from the connection; frames already buffered whole decode
+	// without one. This is the slow-loris guard: a reader trickling
+	// header bytes is force-closed, not waited on.
 	ReadTimeout time.Duration
-	// WriteTimeout bounds each response write/flush (default 10s;
-	// negative disables). A client that stops reading its replies stalls
+	// WriteTimeout bounds each write that reaches the connection: the
+	// flush at the end of a burst, or a reply too large for the write
+	// buffer (default 10s; negative disables). It is armed afresh before
+	// each such write. A client that stops reading its replies stalls
 	// the server's writes; past the deadline the connection is
 	// force-closed.
 	WriteTimeout time.Duration
@@ -106,8 +110,8 @@ func (c ServerConfig) withDefaults() ServerConfig {
 }
 
 // Server serves the zkvproto protocol over TCP against one Store. Requests
-// on a connection are answered strictly in order; responses are flushed when
-// the connection's read buffer drains, so pipelined bursts get one flush.
+// on a connection are answered strictly in order; responses are flushed once
+// no further whole request is buffered, so a pipelined burst gets one flush.
 //
 // The serving path is defensive end to end: slow or stalled peers are
 // force-closed by per-connection deadlines, pool and pipeline exhaustion
@@ -231,9 +235,12 @@ func (s *Server) Serve(ln net.Listener) error {
 			return ErrServerClosed
 		}
 		s.conns[conn] = struct{}{}
+		// Counted under the lock that registers the conn: Shutdown takes
+		// the same lock before it waits, so it either sees this handler
+		// in the WaitGroup or this loop sees inShutdown above.
+		s.wg.Add(1)
 		s.mu.Unlock()
 		s.connsTotal.Add(1)
-		s.wg.Add(1)
 		go func() {
 			defer func() {
 				s.mu.Lock()
@@ -311,6 +318,35 @@ func (s *Server) clampDrain(t time.Time) time.Time {
 	return t
 }
 
+// armRead sets conn's read deadline to d from now (none for d <= 0),
+// clamped to the drain deadline.
+func (s *Server) armRead(conn net.Conn, d time.Duration) {
+	var t time.Time
+	if d > 0 {
+		t = time.Now().Add(d)
+	}
+	conn.SetReadDeadline(s.clampDrain(t))
+}
+
+// armWrite sets conn's write deadline to WriteTimeout from now, clamped to
+// the drain deadline. It does nothing when WriteTimeout is disabled.
+func (s *Server) armWrite(conn net.Conn) {
+	if s.cfg.WriteTimeout > 0 {
+		conn.SetWriteDeadline(s.clampDrain(time.Now().Add(s.cfg.WriteTimeout)))
+	}
+}
+
+// frameBuffered reports whether br already holds the whole next request
+// frame, so decoding it cannot block on the connection.
+func frameBuffered(br *bufio.Reader) bool {
+	n := br.Buffered()
+	if n < zkvproto.RequestHeaderLen {
+		return false
+	}
+	hdr, _ := br.Peek(zkvproto.RequestHeaderLen)
+	return n >= zkvproto.RequestLen(hdr)
+}
+
 // isTimeout reports whether a conn error is a deadline expiry.
 func isTimeout(err error) bool {
 	if errors.Is(err, os.ErrDeadlineExceeded) {
@@ -323,10 +359,19 @@ func isTimeout(err error) bool {
 // serveConn runs one connection's request loop. All per-request state is
 // reused across iterations, so the steady-state loop does not allocate.
 //
-// Deadline discipline: while waiting for a burst's first byte the idle
-// timeout applies; once bytes are flowing, each frame must complete within
-// ReadTimeout and each response write within WriteTimeout. Every deadline
-// is clamped to the drain deadline during shutdown, so a silent or stalled
+// The loop pays per burst, not per request. A burst is the run of frames
+// that are already whole in the read buffer; they decode and execute
+// without touching the connection, and their replies collect in the write
+// buffer. The burst ends when the next frame is not whole, that is when the
+// next decode may block: the replies are flushed first, so a peer is never
+// kept waiting for replies the server holds.
+//
+// Deadline discipline: every read or write on the connection that can
+// block runs under a deadline armed just before it. Waiting for a burst's
+// first byte runs under the idle timeout; finishing a frame that is only
+// partly buffered runs under ReadTimeout; the burst-end flush, and a reply
+// too large for the write buffer, run under WriteTimeout. Every deadline is
+// clamped to the drain deadline during shutdown, so a silent or stalled
 // peer can never hold the drain hostage.
 func (s *Server) serveConn(conn net.Conn) {
 	br := bufio.NewReaderSize(conn, 64<<10)
@@ -335,31 +380,41 @@ func (s *Server) serveConn(conn net.Conn) {
 		req   zkvproto.Request
 		resp  zkvproto.Response
 		dst   []byte
-		depth int // requests executed in the current burst
+		depth int // requests executed since the last flush
 	)
 	for {
-		if br.Buffered() == 0 {
-			// Between bursts: wait for the next request under the idle
-			// timeout. This also clears any stale per-frame ReadTimeout
-			// deadline left armed by the previous burst.
-			var idle time.Time
-			if s.cfg.IdleTimeout > 0 {
-				idle = time.Now().Add(s.cfg.IdleTimeout)
-			}
-			conn.SetReadDeadline(s.clampDrain(idle))
-			if _, err := br.Peek(1); err != nil {
-				if isTimeout(err) {
-					if s.inShutdown.Load() {
-						s.drainCloses.Add(1)
-					} else {
-						s.idleCloses.Add(1)
+		if !frameBuffered(br) {
+			// Burst end: hand the peer every reply it is owed before
+			// the next decode may block.
+			if depth > 0 {
+				s.armWrite(conn)
+				if err := bw.Flush(); err != nil {
+					if isTimeout(err) {
+						s.writeCloses.Add(1)
 					}
+					return
 				}
-				return
+				depth = 0
 			}
-		}
-		if s.cfg.ReadTimeout > 0 {
-			conn.SetReadDeadline(s.clampDrain(time.Now().Add(s.cfg.ReadTimeout)))
+			if br.Buffered() == 0 {
+				// Between bursts: wait for the next request under the
+				// idle timeout. This also replaces any ReadTimeout
+				// deadline left armed by the previous burst.
+				s.armRead(conn, s.cfg.IdleTimeout)
+				if _, err := br.Peek(1); err != nil {
+					if isTimeout(err) {
+						if s.inShutdown.Load() {
+							s.drainCloses.Add(1)
+						} else {
+							s.idleCloses.Add(1)
+						}
+					}
+					return
+				}
+			}
+			if s.cfg.ReadTimeout > 0 && !frameBuffered(br) {
+				s.armRead(conn, s.cfg.ReadTimeout)
+			}
 		}
 		err := req.ReadFrom(br)
 		if err != nil {
@@ -378,6 +433,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				s.protoErrors.Add(1)
 				resp.Status = zkvproto.StatusErr
 				resp.Val = append(resp.Val[:0], perr...)
+				s.armWrite(conn)
 				if resp.WriteTo(bw) == nil {
 					bw.Flush()
 				}
@@ -432,27 +488,16 @@ func (s *Server) serveConn(conn net.Conn) {
 				s.serveForget(&req, &resp)
 			}
 		}
-		if s.cfg.WriteTimeout > 0 {
-			// One deadline covers both the buffered write (which may
-			// write through when full) and the burst-end flush below.
-			conn.SetWriteDeadline(s.clampDrain(time.Now().Add(s.cfg.WriteTimeout)))
+		if zkvproto.ResponseHeaderLen+len(resp.Val) > bw.Available() {
+			// The reply does not fit the write buffer, so writing it
+			// reaches the connection.
+			s.armWrite(conn)
 		}
 		if err := resp.WriteTo(bw); err != nil {
 			if isTimeout(err) {
 				s.writeCloses.Add(1)
 			}
 			return
-		}
-		// Pipelining: only pay the flush syscall once the client's burst
-		// is fully consumed.
-		if br.Buffered() == 0 {
-			if err := bw.Flush(); err != nil {
-				if isTimeout(err) {
-					s.writeCloses.Add(1)
-				}
-				return
-			}
-			depth = 0
 		}
 	}
 }

@@ -1,10 +1,14 @@
 package zkv
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -14,7 +18,7 @@ import (
 
 // startServer runs a server on an ephemeral port and returns it with its
 // address and the Serve error channel.
-func startServer(t *testing.T, scfg ServerConfig) (*Server, string, chan error) {
+func startServer(t testing.TB, scfg ServerConfig) (*Server, string, chan error) {
 	t.Helper()
 	store, err := Open(Config{Shards: 2, Ways: 4, Rows: 256, Levels: 2, Seed: 5})
 	if err != nil {
@@ -30,7 +34,7 @@ func startServer(t *testing.T, scfg ServerConfig) (*Server, string, chan error) 
 	return srv, ln.Addr().String(), errc
 }
 
-func shutdownServer(t *testing.T, srv *Server, errc chan error) {
+func shutdownServer(t testing.TB, srv *Server, errc chan error) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -177,6 +181,12 @@ func TestServerGracefulDrain(t *testing.T) {
 	}
 	defer conn.Close()
 	cl := zkvproto.NewClient(conn)
+	// Prove the connection is live (accepted, its handler running) first:
+	// a connection still in the listen backlog when Shutdown closes the
+	// listener is reset by the kernel, not drained.
+	if err := cl.Ping(); err != nil {
+		t.Fatal(err)
+	}
 
 	// Queue a pipelined burst and flush it, then immediately shut down.
 	// The server must answer every request before the connection dies.
@@ -474,5 +484,259 @@ func TestRunLoad(t *testing.T) {
 	if rep.P50 <= 0 || rep.P99 < rep.P50 || rep.P999 < rep.P99 || rep.PMax < rep.P999 {
 		t.Fatalf("latency percentiles not monotone: p50=%v p99=%v p999=%v max=%v",
 			rep.P50, rep.P99, rep.P999, rep.PMax)
+	}
+}
+
+// TestServerShutdownWaitsForAcceptedConns: a connection accepted while
+// Shutdown begins is either refused or waited for; Shutdown never returns
+// with a handler still running. A client dials in a loop while Shutdown
+// runs. Run it under -race: the race detector also flags a handler that
+// joins the WaitGroup unordered with Shutdown's Wait, even when the timing
+// happens to work out.
+func TestServerShutdownWaitsForAcceptedConns(t *testing.T) {
+	for iter := 0; iter < 200; iter++ {
+		srv, addr, errc := startServer(t, ServerConfig{DrainTimeout: 200 * time.Millisecond})
+		stop := make(chan struct{})
+		dialed := make(chan struct{})
+		go func() {
+			defer close(dialed)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if c, err := net.DialTimeout("tcp", addr, time.Second); err == nil {
+					c.Close()
+				}
+			}
+		}()
+		for start := time.Now(); srv.connsTotal.Load() < uint64(1+iter%4) && time.Since(start) < 2*time.Second; {
+			runtime.Gosched()
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		err := srv.Shutdown(ctx)
+		cancel()
+		srv.mu.Lock()
+		live := len(srv.conns)
+		srv.mu.Unlock()
+		close(stop)
+		<-dialed
+		if err != nil {
+			t.Fatalf("iteration %d: shutdown: %v", iter, err)
+		}
+		if live != 0 {
+			t.Fatalf("iteration %d: Shutdown returned with %d handlers still running", iter, live)
+		}
+		if err := <-errc; !errors.Is(err, ErrServerClosed) {
+			t.Fatalf("iteration %d: Serve returned %v", iter, err)
+		}
+	}
+}
+
+// TestServerStalledReaderWriteTimeout: a client that pipelines large GETs
+// and never reads its replies stalls the server's writes; WriteTimeout
+// closes the connection and counts it.
+func TestServerStalledReaderWriteTimeout(t *testing.T) {
+	srv, addr, errc := startServer(t, ServerConfig{WriteTimeout: 100 * time.Millisecond, DrainTimeout: time.Second})
+	defer shutdownServer(t, srv, errc)
+
+	cl, err := zkvproto.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if err := cl.Set([]byte("big"), bytes.Repeat([]byte{'v'}, 1<<20)); err != nil {
+		t.Fatal(err)
+	}
+	// 64 MiB of replies: far more than the socket buffers hold.
+	const n = 64
+	for i := 0; i < n; i++ {
+		if err := cl.QueueGet([]byte("big")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cl.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for start := time.Now(); srv.ShedStats().WriteCloses == 0; {
+		if time.Since(start) > 5*time.Second {
+			t.Fatal("stalled reader was not closed by WriteTimeout")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	// Draining what the socket buffers held ends in a closed connection,
+	// not in all n replies.
+	cl.SetDeadline(time.Now().Add(5 * time.Second))
+	got := 0
+	for ; got < n; got++ {
+		if _, err = cl.ReadReply(); err != nil {
+			break
+		}
+	}
+	if got == n || zkvproto.Classify(err) != zkvproto.ClassReset {
+		t.Fatalf("after the write timeout: %d of %d replies, then %v; want a closed connection", got, n, err)
+	}
+}
+
+// TestServerMidBurstSlowLoris: one write holds complete frames and then
+// part of another. The complete frames are answered before the server
+// waits for the rest, and the stalled frame then closes the connection
+// under ReadTimeout.
+func TestServerMidBurstSlowLoris(t *testing.T) {
+	srv, addr, errc := startServer(t, ServerConfig{ReadTimeout: 100 * time.Millisecond, DrainTimeout: time.Second})
+	defer shutdownServer(t, srv, errc)
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var buf bytes.Buffer
+	bw := bufio.NewWriter(&buf)
+	for _, req := range []zkvproto.Request{
+		{Op: zkvproto.OpSet, Key: []byte("k"), Val: []byte("v")},
+		{Op: zkvproto.OpGet, Key: []byte("k")},
+		{Op: zkvproto.OpPing},
+	} {
+		if err := req.WriteTo(bw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bw.Flush()
+	// Two header bytes of a SET frame, then silence.
+	buf.Write([]byte{zkvproto.OpSet, 0x00})
+	if _, err := conn.Write(buf.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	br := bufio.NewReader(conn)
+	var resp zkvproto.Response
+	for i, want := range []string{"", "v", ""} {
+		if err := resp.ReadFrom(br); err != nil {
+			t.Fatalf("reply %d: %v", i, err)
+		}
+		if resp.Status != zkvproto.StatusOK || string(resp.Val) != want {
+			t.Fatalf("reply %d: status %d val %q", i, resp.Status, resp.Val)
+		}
+	}
+	if err := resp.ReadFrom(br); err != io.EOF {
+		t.Fatalf("after the complete frames: got %v, want the connection closed", err)
+	}
+	if got := srv.ShedStats().ReadCloses; got == 0 {
+		t.Fatal("mid-burst slow loris not counted")
+	}
+}
+
+// TestServerLargeSetUnderReadTimeout: a SET whose value is larger than the
+// server's 64 KiB read buffer takes several reads to arrive, all under
+// ReadTimeout, and executes intact.
+func TestServerLargeSetUnderReadTimeout(t *testing.T) {
+	srv, addr, errc := startServer(t, ServerConfig{ReadTimeout: time.Second, DrainTimeout: time.Second})
+	defer shutdownServer(t, srv, errc)
+
+	cl, err := zkvproto.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	val := make([]byte, 300<<10)
+	for i := range val {
+		val[i] = byte(i * 7)
+	}
+	// Pipelined behind a small request, so the big frame starts mid-burst.
+	if err := cl.QueueSet([]byte("small"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.QueueSet([]byte("big"), val); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.QueueGet([]byte("big")); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		resp, err := cl.ReadReply()
+		if err != nil {
+			t.Fatalf("reply %d: %v", i, err)
+		}
+		if resp.Status != zkvproto.StatusOK {
+			t.Fatalf("reply %d: status %d %q", i, resp.Status, resp.Val)
+		}
+		if i == 2 && !bytes.Equal(resp.Val, val) {
+			t.Fatalf("GET returned %d bytes that differ from the %d-byte SET", len(resp.Val), len(val))
+		}
+	}
+	if got := srv.ShedStats().ReadCloses; got != 0 {
+		t.Fatalf("%d read closes on a healthy connection", got)
+	}
+}
+
+// getBurst is one client of an in-process server over loopback that sends
+// 16-deep pipelined GET bursts for keys holding 128 B values.
+type getBurst struct {
+	cl   *zkvproto.Client
+	keys [][]byte
+}
+
+func newGetBurst(tb testing.TB, addr string) *getBurst {
+	tb.Helper()
+	cl, err := zkvproto.Dial(addr)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	g := &getBurst{cl: cl}
+	for i := 0; i < 16; i++ {
+		key := []byte(fmt.Sprintf("burst:%02d", i))
+		if err := cl.Set(key, bytes.Repeat([]byte{byte(i)}, 128)); err != nil {
+			tb.Fatal(err)
+		}
+		g.keys = append(g.keys, key)
+	}
+	return g
+}
+
+// run sends one burst and reads its replies; every GET must hit.
+func (g *getBurst) run() error {
+	for _, key := range g.keys {
+		if err := g.cl.QueueGet(key); err != nil {
+			return err
+		}
+	}
+	if err := g.cl.Flush(); err != nil {
+		return err
+	}
+	for i := range g.keys {
+		resp, err := g.cl.ReadReply()
+		if err != nil {
+			return err
+		}
+		if resp.Status != zkvproto.StatusOK || len(resp.Val) != 128 || resp.Val[0] != byte(i) {
+			return fmt.Errorf("GET %d: status %d, %d-byte value", i, resp.Status, len(resp.Val))
+		}
+	}
+	return nil
+}
+
+// TestServerPipelinedBurstDoesNotAllocate: a 16-deep GET burst through the
+// server and client allocates nothing on either side.
+func TestServerPipelinedBurstDoesNotAllocate(t *testing.T) {
+	srv, addr, errc := startServer(t, ServerConfig{})
+	defer shutdownServer(t, srv, errc)
+	g := newGetBurst(t, addr)
+	defer g.cl.Close()
+	var err error
+	allocs := testing.AllocsPerRun(200, func() {
+		if e := g.run(); e != nil {
+			err = e
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("16-deep GET burst allocates %.2f objects, want 0", allocs)
 	}
 }

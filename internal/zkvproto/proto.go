@@ -55,8 +55,10 @@ const (
 )
 
 const (
-	reqHeaderLen  = 1 + 2 + 4
-	respHeaderLen = 1 + 4
+	// RequestHeaderLen and ResponseHeaderLen are the fixed header sizes
+	// that precede every request and response frame's payload.
+	RequestHeaderLen  = 1 + 2 + 4
+	ResponseHeaderLen = 1 + 4
 
 	// MaxKeyLen is the framing limit (keyLen is uint16).
 	MaxKeyLen = 1<<16 - 1
@@ -92,15 +94,18 @@ type Response struct {
 
 func validOp(op byte) bool { return op >= OpGet && op <= OpForget }
 
+// RequestLen is the whole length of the request frame whose header is hdr
+// (at least RequestHeaderLen bytes). The header is not validated.
+func RequestLen(hdr []byte) int {
+	return RequestHeaderLen + int(binary.BigEndian.Uint16(hdr[1:3])) + int(binary.BigEndian.Uint32(hdr[3:7]))
+}
+
 // ReadFrom decodes one request frame, reusing r's buffers. io.EOF is
 // returned unwrapped only when the stream ends cleanly between frames.
 func (r *Request) ReadFrom(br *bufio.Reader) error {
-	var hdr [reqHeaderLen]byte
-	if _, err := io.ReadFull(br, hdr[:1]); err != nil {
-		return err // io.EOF here = clean end of stream
-	}
-	if _, err := io.ReadFull(br, hdr[1:]); err != nil {
-		return unexpectedEOF(err)
+	hdr, err := readHeader(br, RequestHeaderLen)
+	if err != nil {
+		return err
 	}
 	op := hdr[0]
 	keyLen := int(binary.BigEndian.Uint16(hdr[1:3]))
@@ -156,28 +161,28 @@ func (r *Request) WriteTo(bw *bufio.Writer) error {
 	if len(r.Val) > MaxValLen {
 		return fmt.Errorf("%w: value %d bytes", ErrFrameTooLarge, len(r.Val))
 	}
-	var hdr [reqHeaderLen]byte
-	hdr[0] = r.Op
-	binary.BigEndian.PutUint16(hdr[1:3], uint16(len(r.Key)))
-	binary.BigEndian.PutUint32(hdr[3:7], uint32(len(r.Val)))
-	if _, err := bw.Write(hdr[:]); err != nil {
+	hdr, err := headerBuf(bw, RequestHeaderLen)
+	if err != nil {
+		return err
+	}
+	hdr = append(hdr, r.Op)
+	hdr = binary.BigEndian.AppendUint16(hdr, uint16(len(r.Key)))
+	hdr = binary.BigEndian.AppendUint32(hdr, uint32(len(r.Val)))
+	if _, err := bw.Write(hdr); err != nil {
 		return err
 	}
 	if _, err := bw.Write(r.Key); err != nil {
 		return err
 	}
-	_, err := bw.Write(r.Val)
+	_, err = bw.Write(r.Val)
 	return err
 }
 
 // ReadFrom decodes one response frame, reusing r's buffer.
 func (r *Response) ReadFrom(br *bufio.Reader) error {
-	var hdr [respHeaderLen]byte
-	if _, err := io.ReadFull(br, hdr[:1]); err != nil {
+	hdr, err := readHeader(br, ResponseHeaderLen)
+	if err != nil {
 		return err
-	}
-	if _, err := io.ReadFull(br, hdr[1:]); err != nil {
-		return unexpectedEOF(err)
 	}
 	status := hdr[0]
 	if status > StatusBusy {
@@ -200,14 +205,47 @@ func (r *Response) WriteTo(bw *bufio.Writer) error {
 	if len(r.Val) > MaxValLen {
 		return fmt.Errorf("%w: value %d bytes", ErrFrameTooLarge, len(r.Val))
 	}
-	var hdr [respHeaderLen]byte
-	hdr[0] = r.Status
-	binary.BigEndian.PutUint32(hdr[1:5], uint32(len(r.Val)))
-	if _, err := bw.Write(hdr[:]); err != nil {
+	hdr, err := headerBuf(bw, ResponseHeaderLen)
+	if err != nil {
 		return err
 	}
-	_, err := bw.Write(r.Val)
+	hdr = append(hdr, r.Status)
+	hdr = binary.BigEndian.AppendUint32(hdr, uint32(len(r.Val)))
+	if _, err := bw.Write(hdr); err != nil {
+		return err
+	}
+	_, err = bw.Write(r.Val)
 	return err
+}
+
+// readHeader consumes the next n header bytes and returns them in place in
+// br's buffer, valid until the next read from br. Taking the header from the
+// buffer, instead of copying it into a local array, keeps decoding
+// allocation-free. io.EOF passes through only when no byte of the frame
+// arrived.
+func readHeader(br *bufio.Reader, n int) ([]byte, error) {
+	hdr, err := br.Peek(n)
+	if err != nil {
+		if len(hdr) > 0 {
+			return nil, unexpectedEOF(err)
+		}
+		return nil, err
+	}
+	br.Discard(n) // cannot fail: Peek just buffered n bytes
+	return hdr, nil
+}
+
+// headerBuf returns bw's free space to append an n-byte header into,
+// flushing first when less than n bytes are free. Writing the header from
+// the buffer's own space keeps encoding allocation-free; the bytes reaching
+// the writer are the same either way.
+func headerBuf(bw *bufio.Writer, n int) ([]byte, error) {
+	if bw.Available() < n {
+		if err := bw.Flush(); err != nil {
+			return nil, err
+		}
+	}
+	return bw.AvailableBuffer(), nil
 }
 
 // readInto resizes *buf to n bytes, reusing capacity when it can.

@@ -7,6 +7,7 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 func roundTripRequest(t *testing.T, op byte, key, val []byte) Request {
@@ -172,5 +173,103 @@ func TestBufferReuseDoesNotAlias(t *testing.T) {
 	}
 	if string(in.Key) != "k2" || string(in.Val) != "v2" {
 		t.Fatalf("buffer reuse corrupted frame: key=%q val=%q", in.Key, in.Val)
+	}
+}
+
+// frameSizes are the payload sizes of the frames in the small-buffer test:
+// around the 16-byte bufio minimum, so headers land at every alignment.
+var frameSizes = []int{0, 1, 5, 9, 15, 16, 17, 31, 100}
+
+// frameOf is the i'th frame of each kind in the small-buffer test: SETs
+// with an i+1 byte key for even sizes, GETs with a size-byte key for odd.
+func frameOf(i int) (Request, Response) {
+	n := frameSizes[i]
+	req := Request{Op: OpSet, Key: bytes.Repeat([]byte{'k'}, 1+i), Val: bytes.Repeat([]byte{byte(i)}, n)}
+	if n%2 == 1 {
+		req = Request{Op: OpGet, Key: bytes.Repeat([]byte{'g'}, n), Val: []byte{}}
+	}
+	return req, Response{Status: byte(i % 4), Val: bytes.Repeat([]byte{'v'}, n)}
+}
+
+// TestTruncatedFrames cuts one frame of each kind at every byte offset: a
+// stream that ends before the frame's first byte is a clean io.EOF, and one
+// that ends anywhere inside the frame is io.ErrUnexpectedEOF.
+func TestTruncatedFrames(t *testing.T) {
+	var rb, sb bytes.Buffer
+	rw, sw := bufio.NewWriter(&rb), bufio.NewWriter(&sb)
+	(&Request{Op: OpSet, Key: []byte("key"), Val: []byte("value")}).WriteTo(rw)
+	(&Response{Status: StatusOK, Val: []byte("payload")}).WriteTo(sw)
+	rw.Flush()
+	sw.Flush()
+	for _, d := range []struct {
+		kind   string
+		frame  []byte
+		decode func(*bufio.Reader) error
+	}{
+		{"request", rb.Bytes(), func(br *bufio.Reader) error { var r Request; return r.ReadFrom(br) }},
+		{"response", sb.Bytes(), func(br *bufio.Reader) error { var r Response; return r.ReadFrom(br) }},
+	} {
+		for off := 0; off <= len(d.frame); off++ {
+			err := d.decode(bufio.NewReader(bytes.NewReader(d.frame[:off])))
+			var want error
+			switch {
+			case off == 0:
+				want = io.EOF
+			case off < len(d.frame):
+				want = io.ErrUnexpectedEOF
+			}
+			if err != want {
+				t.Errorf("%s cut at %d of %d bytes: got %v, want %v", d.kind, off, len(d.frame), err, want)
+			}
+		}
+	}
+}
+
+// TestDecodeThroughSmallBuffer decodes frame streams through the smallest
+// bufio.Reader there is, fed whole and one byte at a time, so header peeks
+// straddle buffer refills.
+func TestDecodeThroughSmallBuffer(t *testing.T) {
+	var rb, sb bytes.Buffer
+	rw, sw := bufio.NewWriter(&rb), bufio.NewWriter(&sb)
+	for i := range frameSizes {
+		req, resp := frameOf(i)
+		if err := req.WriteTo(rw); err != nil {
+			t.Fatal(err)
+		}
+		if err := resp.WriteTo(sw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rw.Flush()
+	sw.Flush()
+	for _, wrap := range []func(io.Reader) io.Reader{
+		func(r io.Reader) io.Reader { return r },
+		iotest.OneByteReader,
+	} {
+		reqs := bufio.NewReaderSize(wrap(bytes.NewReader(rb.Bytes())), 16)
+		resps := bufio.NewReaderSize(wrap(bytes.NewReader(sb.Bytes())), 16)
+		var req Request
+		var resp Response
+		for i := range frameSizes {
+			wantReq, wantResp := frameOf(i)
+			if err := req.ReadFrom(reqs); err != nil {
+				t.Fatalf("request %d: %v", i, err)
+			}
+			if req.Op != wantReq.Op || !bytes.Equal(req.Key, wantReq.Key) || !bytes.Equal(req.Val, wantReq.Val) {
+				t.Fatalf("request %d decoded wrong: op %d key %q val %q", i, req.Op, req.Key, req.Val)
+			}
+			if err := resp.ReadFrom(resps); err != nil {
+				t.Fatalf("response %d: %v", i, err)
+			}
+			if resp.Status != wantResp.Status || !bytes.Equal(resp.Val, wantResp.Val) {
+				t.Fatalf("response %d decoded wrong: status %d val %q", i, resp.Status, resp.Val)
+			}
+		}
+		if err := req.ReadFrom(reqs); err != io.EOF {
+			t.Fatalf("after the last request: got %v, want io.EOF", err)
+		}
+		if err := resp.ReadFrom(resps); err != io.EOF {
+			t.Fatalf("after the last response: got %v, want io.EOF", err)
+		}
 	}
 }
