@@ -5,12 +5,16 @@
 //
 //	zkvbench -addr 127.0.0.1:7171 -clients 8 -ops 1000000 -get-frac 0.9
 //
-// opens -clients pipelined connections and drives a reproducible mixed
-// GET/SET stream, reporting ops/s, hit rate, p50/p99/p999 per-op latency,
-// and errors. With -writers N, N additional all-SET connections stay
-// saturated for the whole window (contention mode): combined with
-// -get-frac 1 the percentiles then measure pure readers while eviction
-// walks and relocation chains are in flight.
+// drives a reproducible mixed GET/SET stream from -clients pipelining
+// clients, reporting ops/s, hit rate, p50/p99/p999 per-op latency, and
+// errors. The load harness is zcluster.RunLoad, and one server is a
+// one-node ring to it: -addr A and -nodes A -topology ring run the same
+// code and differ only in the cluster lines of the report. SET values
+// carry the ring's 8-byte version stamp either way. With -writers N, N
+// additional all-SET connections stay saturated for the whole window
+// (contention mode): combined with -get-frac 1 the percentiles then
+// measure pure readers while eviction walks and relocation chains are in
+// flight.
 //
 // Cluster mode:
 //
@@ -18,7 +22,7 @@
 //	    -topology replicated -oracle -join 127.0.0.1:7174 -join-after 50000
 //
 // routes the same stream through the client-side consistent-hash ring
-// (internal/zcluster) instead of one connection pool. -topology ring keeps
+// (internal/zcluster) over every listed node. -topology ring keeps
 // one copy per key; replicated fans writes out R=2 and lets reads fail
 // over. The report adds a per-node latency breakdown and a per-node health
 // line parsed from each server's STATS text. With -join, the named node is
@@ -39,7 +43,8 @@
 // every GET hit against its key-derived expected value. The final report
 // breaks errors down by class next to the latency percentiles. -stall N
 // additionally parks N silent connections on the server for the whole run
-// (the slow-loris scenario its deadlines must absorb).
+// (the slow-loris scenario its deadlines must absorb). -writers and -stall
+// need a one-node ring.
 //
 // Equivalence replay:
 //
@@ -51,10 +56,12 @@
 // routes the trace through an N-node consistent-hash ring onto per-node
 // stores, checking the per-shard claim node by node. A divergence exits 2.
 //
-// Exit codes: 0 success, 1 usage/config error, 2 benchmark failure:
-// equivalence divergence, any wrong (oracle-mismatched) GET, any
-// unclassified error, a dropped in-flight operation during a live join,
-// or — outside chaos mode, where faults are expected — any error at all.
+// Exit codes: 0 success, 1 usage error (bad flags, topology, chaos spec,
+// policy, or workload), 2 benchmark failure: equivalence divergence, any
+// wrong (oracle-mismatched) GET, any unclassified error, a dropped
+// in-flight operation during a live join, a load config the harness
+// rejects (such as -writers on a multi-node ring), or — outside chaos
+// mode, where faults are expected — any error at all.
 package main
 
 import (
@@ -138,50 +145,79 @@ func run(args []string) int {
 		return 0
 	}
 
-	if *nodes != "" {
-		return runCluster(clusterArgs{
-			nodes: splitNodes(*nodes), topology: *topology, vnodes: *vnodes,
-			join: *join, joinAfter: *joinAfter, joinPage: *joinPage,
-			clients: *clients, ops: *ops, keySpace: *keySpace, valBytes: *valBytes,
-			getFrac: *getFrac, pipeline: *pipeline, seed: *seed,
-			chaos: *chaos, chaosSeed: *chaosSeed, oracle: *oracle, opTimeout: *opTimeout,
-			writers: *writers, stall: *stall,
-		})
+	// A single zcached is a one-node ring: -addr and -nodes drive the same
+	// load path, and only the report's cluster lines tell them apart.
+	clustered := *nodes != ""
+	nodeList, replication := []string{*addr}, 1
+	if clustered {
+		nodeList = splitNodes(*nodes)
+		switch *topology {
+		case "ring":
+		case "replicated":
+			replication = 2
+		default:
+			fmt.Fprintf(os.Stderr, "zkvbench: -topology %q: want ring or replicated\n", *topology)
+			return 1
+		}
 	}
 
-	// Chaos mode: interpose the fault proxy between the clients and the
-	// server. Faults are then expected; correctness is judged on
-	// classification (no unclassified errors) and the oracle (no wrong
-	// GETs), not on the error count.
-	loadAddr := *addr
+	// Chaos mode: interpose a fault proxy in front of every node, each
+	// with a decorrelated fault schedule, wired in through DialAddr so ring
+	// membership keeps the real names. Faults are then expected;
+	// correctness is judged on classification (no unclassified errors) and
+	// the oracle (no wrong GETs), not on the error count.
+	dial := make(map[string]string)
 	var proxy *netchaos.Proxy
 	if *chaos != "" {
-		spec, err := netchaos.ParseSpec(*chaos, *chaosSeed)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "zkvbench: -chaos: %v\n", err)
-			return 1
+		for i, node := range nodeList {
+			spec, err := netchaos.ParseSpec(*chaos, *chaosSeed+uint64(i))
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "zkvbench: -chaos: %v\n", err)
+				return 1
+			}
+			proxy = netchaos.New(node, spec)
+			if err := proxy.Start(""); err != nil {
+				fmt.Fprintf(os.Stderr, "zkvbench: chaos proxy for %s: %v\n", node, err)
+				return 1
+			}
+			defer proxy.Close()
+			dial[node] = proxy.Addr()
+			if clustered {
+				fmt.Printf("chaos: %s through %s (seed %d)\n", node, proxy.Addr(), *chaosSeed+uint64(i))
+			} else {
+				fmt.Printf("chaos: proxying %s through %s with spec %q (seed %d)\n",
+					node, proxy.Addr(), spec.String(), *chaosSeed)
+			}
 		}
-		proxy = netchaos.New(*addr, spec)
-		if err := proxy.Start(""); err != nil {
-			fmt.Fprintf(os.Stderr, "zkvbench: chaos proxy: %v\n", err)
-			return 1
-		}
-		defer proxy.Close()
-		loadAddr = proxy.Addr()
 		if *opTimeout == 0 {
 			// Blackhole faults turn into hangs without a deadline; chaos
 			// runs get one by default.
 			*opTimeout = 2 * time.Second
 		}
-		fmt.Printf("chaos: proxying %s through %s with spec %q (seed %d)\n",
-			*addr, loadAddr, spec.String(), *chaosSeed)
 	}
 
-	rep, err := zkv.RunLoad(zkv.LoadConfig{
-		Addr: loadAddr, Clients: *clients, Ops: *ops, KeySpace: *keySpace,
+	// MaxRetries covers the convenience ops the reshard controller and
+	// read-repair issue (measured ops carry their own retry loop); a shed
+	// MIGRATE during a live join must back off and retry, not abort.
+	ccfg := zcluster.Config{
+		Nodes: nodeList, VNodes: *vnodes, Replication: replication,
+		DialAddr: dial, Options: zkvproto.Options{OpTimeout: *opTimeout, Seed: *seed, MaxRetries: 8},
+	}
+	if replication == 2 {
+		ccfg.RepairEvery = 64
+	}
+	lcfg := zcluster.LoadConfig{
+		Cluster: ccfg, Clients: *clients, Ops: *ops, KeySpace: *keySpace,
 		ValBytes: *valBytes, GetFrac: *getFrac, Pipeline: *pipeline, Seed: *seed,
-		Writers: *writers, OpTimeout: *opTimeout, Oracle: *oracle, Stall: *stall,
-	})
+		OpTimeout: *opTimeout, Oracle: *oracle, Writers: *writers, Stall: *stall,
+	}
+	if clustered {
+		lcfg.JoinNode, lcfg.JoinAfterOps, lcfg.JoinPageBytes = *join, *joinAfter, *joinPage
+		fmt.Printf("cluster: %d nodes, topology %s, %d vnodes/node\n",
+			len(nodeList), *topology, ringVNodes(*vnodes))
+	}
+
+	rep, err := zcluster.RunLoad(lcfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "zkvbench: %v\n", err)
 		return 2
@@ -194,11 +230,22 @@ func run(args []string) int {
 		rep.Ops, rep.Wall.Round(1000000), rep.OpsPerSec, rep.Gets, rep.Sets, hitRate, rep.Errors)
 	fmt.Printf("latency: p50 %s  p99 %s  p999 %s  max %s\n",
 		rep.P50, rep.P99, rep.P999, rep.PMax)
+	if clustered {
+		for _, node := range sortedNodes(rep.PerNode) {
+			nl := rep.PerNode[node]
+			fmt.Printf("node %s: %d ops  p50 %s  p99 %s  p999 %s  max %s\n",
+				node, nl.Ops, nl.P50, nl.P99, nl.P999, nl.PMax)
+		}
+	}
 	classified := rep.Timeouts + rep.Resets + rep.Busys + rep.ProtoErrors
 	if classified+rep.Unclassified+rep.Retried+rep.Reconnects > 0 {
 		fmt.Printf("faults: %d timeouts, %d resets, %d busy, %d protocol, %d unclassified; %d ambiguous mutations, %d ops retried, %d reconnects\n",
 			rep.Timeouts, rep.Resets, rep.Busys, rep.ProtoErrors, rep.Unclassified,
 			rep.Ambiguous, rep.Retried, rep.Reconnects)
+	}
+	if replication == 2 {
+		fmt.Printf("replication: %d replica sets, %d failovers, %d replica errors\n",
+			rep.ReplicaSets, rep.Failovers, rep.ReplicaErrors)
 	}
 	if *oracle {
 		fmt.Printf("oracle: %d GET hits verified, %d wrong\n", rep.VerifiedGets, rep.WrongGets)
@@ -207,7 +254,14 @@ func run(args []string) int {
 		fmt.Printf("contention: %d writers sustained %d sets (%.0f sets/s, %d errors) during the window\n",
 			*writers, rep.WriterSets, float64(rep.WriterSets)/rep.Wall.Seconds(), rep.WriterErrors)
 	}
-	if proxy != nil {
+	if r := rep.Reshard; r != nil {
+		fmt.Printf("reshard: %s joined — %d arcs, %d entries copied in %d pages (%d bytes), delta %d/%d applied, %d arcs forgotten (%d entries), %d kept as replica\n",
+			r.Node, r.Arcs, r.CopiedEntries, r.CopyPages, r.CopiedBytes,
+			r.DeltaApplied, r.DeltaChecked, r.ForgottenArcs, r.Dropped, r.KeptAsReplica)
+	}
+	if clustered {
+		printHealth(ccfg, rep.Reshard != nil, *join)
+	} else if proxy != nil {
 		fmt.Printf("chaos proxy: %s\n", proxy.Stats().Describe())
 	}
 
@@ -232,138 +286,6 @@ func splitNodes(list string) []string {
 		}
 	}
 	return out
-}
-
-type clusterArgs struct {
-	nodes               []string
-	topology            string
-	vnodes              int
-	join                string
-	joinAfter, joinPage int
-	clients, ops        int
-	keySpace, valBytes  int
-	getFrac             float64
-	pipeline            int
-	seed                uint64
-	chaos               string
-	chaosSeed           uint64
-	oracle              bool
-	opTimeout           time.Duration
-	writers, stall      int
-}
-
-// runCluster is the -nodes load path: the same measured stream, routed
-// through the consistent-hash ring, with optional R=2 replication and an
-// optional live mid-run join.
-func runCluster(a clusterArgs) int {
-	if a.writers > 0 || a.stall > 0 {
-		fmt.Fprintln(os.Stderr, "zkvbench: -writers and -stall are single-node modes; not valid with -nodes")
-		return 1
-	}
-	replication := 0
-	switch a.topology {
-	case "ring":
-		replication = 1
-	case "replicated":
-		replication = 2
-	default:
-		fmt.Fprintf(os.Stderr, "zkvbench: -topology %q: want ring or replicated\n", a.topology)
-		return 1
-	}
-
-	// Per-node chaos: each node gets its own proxy and a decorrelated
-	// fault schedule, wired in through DialAddr so ring membership keeps
-	// the real names.
-	dial := make(map[string]string)
-	if a.chaos != "" {
-		for i, node := range a.nodes {
-			spec, err := netchaos.ParseSpec(a.chaos, a.chaosSeed+uint64(i))
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "zkvbench: -chaos: %v\n", err)
-				return 1
-			}
-			proxy := netchaos.New(node, spec)
-			if err := proxy.Start(""); err != nil {
-				fmt.Fprintf(os.Stderr, "zkvbench: chaos proxy for %s: %v\n", node, err)
-				return 1
-			}
-			defer proxy.Close()
-			dial[node] = proxy.Addr()
-			fmt.Printf("chaos: %s through %s (seed %d)\n", node, proxy.Addr(), a.chaosSeed+uint64(i))
-		}
-		if a.opTimeout == 0 {
-			a.opTimeout = 2 * time.Second
-		}
-	}
-
-	// MaxRetries covers the convenience ops the reshard controller and
-	// read-repair issue (measured ops carry their own retry loop); a shed
-	// MIGRATE during a live join must back off and retry, not abort.
-	ccfg := zcluster.Config{
-		Nodes: a.nodes, VNodes: a.vnodes, Replication: replication,
-		DialAddr: dial, Options: zkvproto.Options{OpTimeout: a.opTimeout, Seed: a.seed, MaxRetries: 8},
-	}
-	if replication == 2 {
-		ccfg.RepairEvery = 64
-	}
-	fmt.Printf("cluster: %d nodes, topology %s, %d vnodes/node\n",
-		len(a.nodes), a.topology, ringVNodes(a.vnodes))
-
-	rep, err := zcluster.RunLoad(zcluster.LoadConfig{
-		Cluster: ccfg, Clients: a.clients, Ops: a.ops, KeySpace: a.keySpace,
-		ValBytes: a.valBytes, GetFrac: a.getFrac, Pipeline: a.pipeline,
-		Seed: a.seed, OpTimeout: a.opTimeout, Oracle: a.oracle,
-		JoinNode: a.join, JoinAfterOps: a.joinAfter, JoinPageBytes: a.joinPage,
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "zkvbench: %v\n", err)
-		return 2
-	}
-
-	hitRate := 0.0
-	if rep.Gets > 0 {
-		hitRate = float64(rep.Hits) / float64(rep.Gets)
-	}
-	fmt.Printf("%d ops in %s: %.0f ops/s (%d gets, %d sets, hit rate %.3f, %d errors)\n",
-		rep.Ops, rep.Wall.Round(1000000), rep.OpsPerSec, rep.Gets, rep.Sets, hitRate, rep.Errors)
-	fmt.Printf("latency: p50 %s  p99 %s  p999 %s  max %s\n",
-		rep.P50, rep.P99, rep.P999, rep.PMax)
-	for _, node := range sortedNodes(rep.PerNode) {
-		nl := rep.PerNode[node]
-		fmt.Printf("node %s: %d ops  p50 %s  p99 %s  p999 %s  max %s\n",
-			node, nl.Ops, nl.P50, nl.P99, nl.P999, nl.PMax)
-	}
-	classified := rep.Timeouts + rep.Resets + rep.Busys + rep.ProtoErrors
-	if classified+rep.Unclassified+rep.Retried+rep.Reconnects > 0 {
-		fmt.Printf("faults: %d timeouts, %d resets, %d busy, %d protocol, %d unclassified; %d ambiguous mutations, %d ops retried, %d reconnects\n",
-			rep.Timeouts, rep.Resets, rep.Busys, rep.ProtoErrors, rep.Unclassified,
-			rep.Ambiguous, rep.Retried, rep.Reconnects)
-	}
-	if replication == 2 {
-		fmt.Printf("replication: %d replica sets, %d failovers, %d replica errors\n",
-			rep.ReplicaSets, rep.Failovers, rep.ReplicaErrors)
-	}
-	if a.oracle {
-		fmt.Printf("oracle: %d GET hits verified, %d wrong\n", rep.VerifiedGets, rep.WrongGets)
-	}
-	if r := rep.Reshard; r != nil {
-		fmt.Printf("reshard: %s joined — %d arcs, %d entries copied in %d pages (%d bytes), delta %d/%d applied, %d arcs forgotten (%d entries), %d kept as replica\n",
-			r.Node, r.Arcs, r.CopiedEntries, r.CopyPages, r.CopiedBytes,
-			r.DeltaApplied, r.DeltaChecked, r.ForgottenArcs, r.Dropped, r.KeptAsReplica)
-	}
-	printHealth(ccfg, a.join != "" && rep.Reshard != nil, a.join)
-
-	switch {
-	case rep.WrongGets > 0:
-		fmt.Fprintf(os.Stderr, "zkvbench: FAIL: %d wrong GETs (value oracle mismatch)\n", rep.WrongGets)
-		return 2
-	case rep.Unclassified > 0:
-		fmt.Fprintf(os.Stderr, "zkvbench: FAIL: %d unclassified transport errors\n", rep.Unclassified)
-		return 2
-	case a.chaos == "" && rep.Errors > 0:
-		return 2
-	}
-	return 0
 }
 
 func ringVNodes(v int) int {

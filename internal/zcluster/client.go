@@ -132,9 +132,9 @@ func (c *Client) Close() error {
 	return first
 }
 
-// addrOf resolves a node name to its dial address.
-func (c *Client) addrOf(node string) string {
-	if a, ok := c.cfg.DialAddr[node]; ok {
+// dialAddr resolves a node name to its dial address.
+func (c Config) dialAddr(node string) string {
+	if a, ok := c.DialAddr[node]; ok {
 		return a
 	}
 	return node
@@ -149,7 +149,7 @@ func (c *Client) conn(node string) (*zkvproto.Client, error) {
 	}
 	opts := c.cfg.Options
 	opts.Seed = hash.Mix64(opts.Seed ^ hash.Bytes64([]byte(node)))
-	cl, err := zkvproto.DialOptions(c.addrOf(node), opts)
+	cl, err := zkvproto.DialOptions(c.cfg.dialAddr(node), opts)
 	if err != nil {
 		return nil, err
 	}

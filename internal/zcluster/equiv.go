@@ -1,10 +1,8 @@
 package zcluster
 
 import (
-	"encoding/binary"
 	"fmt"
 
-	"zcache/internal/cache"
 	"zcache/internal/hash"
 	"zcache/internal/workloads"
 	"zcache/internal/zkv"
@@ -12,13 +10,8 @@ import (
 
 // NodeEquiv is one node's slice of the clustered equivalence replay.
 type NodeEquiv struct {
-	Node     string
-	Accesses int
-	Hits     uint64
-	Misses   uint64
-	Victims  int
-	Match    bool
-	Detail   string
+	Node string
+	zkv.EquivReport
 }
 
 // EquivReport is ReplayEquiv's outcome: the per-shard paper claim, checked
@@ -35,8 +28,8 @@ type EquivReport struct {
 
 // ReplayEquiv replays a workload through the consistent-hash ring onto
 // nodes in-process one-shard stores, each paired with the simulator's
-// L2-bank reference (zkv.NewRefCache) over the same per-node seed, and
-// compares eviction decisions per node. This is the clustered extension of
+// L2-bank reference over its own derived seed, and compares eviction
+// decisions per node (zkv.ReplayRouted). This is the clustered extension of
 // zkv.ReplayEquiv: the ring partitions the key space exactly as sharding
 // partitions it inside one store, so the per-shard equivalence claim
 // survives the cluster layer — each node's slice of the traffic must
@@ -49,127 +42,32 @@ func ReplayEquiv(w workloads.Workload, cfg zkv.Config, nodes, vnodes, accesses i
 	if nodes < 1 {
 		return rep, fmt.Errorf("zcluster: need at least one node")
 	}
-
 	names := make([]string, nodes)
+	seeds := make([]uint64, nodes)
+	idxOf := make(map[string]int, nodes)
 	for i := range names {
 		names[i] = fmt.Sprintf("node%d", i)
+		seeds[i] = hash.Mix64(cfg.Seed ^ (uint64(i)+1)*0x9e3779b97f4a7c15)
+		idxOf[names[i]] = i
 	}
 	ring, err := NewRing(names, vnodes)
 	if err != nil {
 		return rep, err
 	}
-	idxOf := make(map[string]int, nodes)
-	for i, n := range names {
-		idxOf[n] = i
-	}
-
-	type nodeState struct {
-		store      *zkv.Store
-		ref        *cache.Cache
-		accesses   int
-		refVictims []uint64
-		kvVictims  []uint64
-	}
-	states := make([]*nodeState, nodes)
-	for i := range states {
-		ncfg := cfg
-		ncfg.Shards = 1
-		ncfg.Seed = hash.Mix64(cfg.Seed ^ (uint64(i)+1)*0x9e3779b97f4a7c15)
-		store, err := zkv.Open(ncfg)
-		if err != nil {
-			return rep, fmt.Errorf("zcluster: node %d store: %w", i, err)
-		}
-		defer store.Close()
-		ref, err := zkv.NewRefCache(ncfg)
-		if err != nil {
-			return rep, fmt.Errorf("zcluster: node %d reference: %w", i, err)
-		}
-		st := &nodeState{store: store, ref: ref}
-		ref.OnEviction = func(addr uint64, dirty bool) { st.refVictims = append(st.refVictims, addr) }
-		store.SetEvictHook(func(shard int, line uint64) { st.kvVictims = append(st.kvVictims, line) })
-		states[i] = st
-	}
-
-	// One trace stream, footprint anchored to the cluster's total
-	// capacity; the ring fans it out.
-	const lineBytes = 64
-	totalCap := uint64(0)
-	for _, st := range states {
-		totalCap += uint64(st.store.Capacity())
-	}
-	gens, err := w.Generators(1, lineBytes, totalCap*lineBytes, cfg.Seed)
+	per, err := zkv.ReplayRouted(w, cfg, seeds,
+		func(key []byte) int { return idxOf[ring.Primary(PointOf(key))] }, accesses)
 	if err != nil {
 		return rep, err
 	}
-	gen := gens[0]
 
-	var (
-		key [8]byte
-		val [16]byte
-		dst []byte
-	)
-	done := 0
-	for done < accesses {
-		a, ok := gen.Next()
-		if !ok {
-			break
-		}
-		line := a.Addr / lineBytes
-		binary.BigEndian.PutUint64(key[:], line)
-		fp := hash.Bytes64(key[:])
-		st := states[idxOf[ring.Primary(PointOf(key[:]))]]
-		st.accesses++
-		st.ref.Access(fp, a.Write)
-		if a.Write {
-			binary.BigEndian.PutUint64(val[:], line)
-			if err := st.store.Set(key[:], val[:]); err != nil {
-				return rep, err
-			}
-		} else if dst, ok = st.store.Get(key[:], dst[:0]); !ok {
-			binary.BigEndian.PutUint64(val[:], line)
-			if err := st.store.Set(key[:], val[:]); err != nil {
-				return rep, err
-			}
-		}
-		done++
-	}
-	rep.Accesses = done
-
-	rep.Match = true
-	for i, st := range states {
-		ne := NodeEquiv{Node: names[i], Accesses: st.accesses, Match: true}
-		refStats := st.ref.Stats()
-		kv := st.store.Stats()
-		ne.Hits, ne.Misses = refStats.Hits, refStats.Misses
-		ne.Victims = len(st.refVictims)
-		kvHits := kv.GetHits + kv.Overwrites
-		kvMisses := kv.Inserts
-		switch {
-		case kv.Collisions != 0:
-			ne.Match, ne.Detail = false, fmt.Sprintf("%d fingerprint collisions", kv.Collisions)
-		case kvHits != refStats.Hits || kvMisses != refStats.Misses:
-			ne.Match = false
-			ne.Detail = fmt.Sprintf("hit/miss mismatch: ref %d/%d, zkv %d/%d",
-				refStats.Hits, refStats.Misses, kvHits, kvMisses)
-		case len(st.refVictims) != len(st.kvVictims):
-			ne.Match = false
-			ne.Detail = fmt.Sprintf("victim count mismatch: ref %d, zkv %d",
-				len(st.refVictims), len(st.kvVictims))
-		default:
-			for vi := range st.refVictims {
-				if st.refVictims[vi] != st.kvVictims[vi] {
-					ne.Match = false
-					ne.Detail = fmt.Sprintf("victim %d diverges: ref %#x, zkv %#x",
-						vi, st.refVictims[vi], st.kvVictims[vi])
-					break
-				}
-			}
-		}
+	rep.Accesses, rep.Match = 0, true
+	for i, ne := range per {
+		rep.Accesses += ne.Accesses
 		if !ne.Match && rep.Match {
 			rep.Match = false
-			rep.Detail = fmt.Sprintf("%s: %s", ne.Node, ne.Detail)
+			rep.Detail = fmt.Sprintf("%s: %s", names[i], ne.Detail)
 		}
-		rep.PerNode = append(rep.PerNode, ne)
+		rep.PerNode = append(rep.PerNode, NodeEquiv{Node: names[i], EquivReport: ne})
 	}
 	return rep, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"net"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -13,10 +14,10 @@ import (
 	"zcache/internal/zkvproto"
 )
 
-// LoadConfig drives RunLoad, the clustered load generator behind
-// zkvbench -nodes: pipelined mixed GET/SET traffic routed through a shared
-// ring, optionally with R=2 write fan-out, oracle verification, and a
-// mid-run live reshard.
+// LoadConfig drives RunLoad, the load generator behind zkvbench: pipelined
+// mixed GET/SET traffic routed through a shared ring, optionally with R=2
+// write fan-out, oracle verification, and a mid-run live reshard. A single
+// zcached is a one-node ring.
 type LoadConfig struct {
 	// Cluster configures routing and replication. Cluster.Options.Seed and
 	// per-client derivation keep every connection's retry jitter
@@ -36,16 +37,20 @@ type LoadConfig struct {
 	ValBytes int
 	// GetFrac in [0,1] is the fraction of GETs (default 0.9).
 	GetFrac float64
-	// Pipeline is the number of measured requests per burst (default 16).
+	// Pipeline is the number of measured requests per burst (default 16;
+	// 1 means strict request/response).
 	Pipeline int
 	// Seed makes key sequences and backoff jitter reproducible.
 	Seed uint64
-	// OpTimeout bounds each pipelined burst per node. Required under any
-	// blackhole-style chaos, same as the single-node harness.
+	// OpTimeout bounds each pipelined burst per node (queue, flush,
+	// replies). 0 means no deadline — only safe against a healthy
+	// network; any blackhole-style fault needs a timeout to convert a
+	// hang into a classified, retryable error.
 	OpTimeout time.Duration
-	// Oracle makes SET payloads self-certifying and verifies every GET
-	// hit; any mismatch counts in WrongGets. Self-certifying payloads are
-	// also what make retries and replica fan-out harmless.
+	// Oracle makes SET payloads self-certifying — derived from the key
+	// alone — and verifies every GET hit; any mismatch counts in
+	// WrongGets. Self-certifying payloads are also what make retries and
+	// replica fan-out harmless.
 	Oracle bool
 	// JoinNode, when non-empty, is a node added to the ring *live*, by a
 	// controller goroutine, once JoinAfterOps measured operations have
@@ -54,6 +59,17 @@ type LoadConfig struct {
 	JoinNode      string
 	JoinAfterOps  int
 	JoinPageBytes int
+	// Writers is the number of dedicated all-SET connections kept
+	// saturated for the duration of the run (default 0). They model
+	// relocation-chain pressure: the measured clients' percentiles then
+	// show how readers behave while walks are in flight. Writer
+	// operations are reported separately and excluded from Ops and the
+	// latency percentiles. One-node clusters only.
+	Writers int
+	// Stall opens this many extra connections that never send a request
+	// and never read, held open for the whole run — the stalled-reader
+	// scenario the server's deadlines must absorb. One-node clusters only.
+	Stall int
 }
 
 func (c LoadConfig) withDefaults() (LoadConfig, error) {
@@ -79,8 +95,18 @@ func (c LoadConfig) withDefaults() (LoadConfig, error) {
 		c.Pipeline = 16
 	}
 	if c.Clients < 0 || c.Ops < 0 || c.KeySpace < 1 || c.ValBytes < 0 ||
-		c.Pipeline < 1 || c.OpTimeout < 0 || c.JoinAfterOps < 0 {
+		c.Pipeline < 1 || c.OpTimeout < 0 || c.JoinAfterOps < 0 ||
+		c.Writers < 0 || c.Stall < 0 {
 		return c, fmt.Errorf("zcluster: invalid load config %+v", c)
+	}
+	if c.Writers > 0 || c.Stall > 0 {
+		nodes := c.Cluster.Nodes
+		if c.Cluster.Router != nil {
+			nodes = c.Cluster.Router.Ring().Nodes()
+		}
+		if len(nodes) != 1 || c.JoinNode != "" {
+			return c, fmt.Errorf("zcluster: writers and stalled connections need a one-node cluster")
+		}
 	}
 	return c, nil
 }
@@ -91,10 +117,16 @@ type NodeLatency struct {
 	P50, P99, P999, PMax time.Duration
 }
 
-// LoadReport is RunLoad's outcome. The scalar fields mirror the
-// single-node zkv.LoadReport so zkvbench renders both the same way; the
-// cluster adds per-node latency, replica accounting, and the reshard
-// report.
+// latencyOf summarizes an ascending-sorted, non-empty latency slice.
+func latencyOf(sorted []time.Duration) NodeLatency {
+	return NodeLatency{
+		Ops: len(sorted),
+		P50: percentile(sorted, 0.50), P99: percentile(sorted, 0.99),
+		P999: percentile(sorted, 0.999), PMax: sorted[len(sorted)-1],
+	}
+}
+
+// LoadReport is RunLoad's outcome.
 type LoadReport struct {
 	Ops       int
 	Gets      int
@@ -105,11 +137,26 @@ type LoadReport struct {
 	Wall      time.Duration
 	OpsPerSec float64
 
+	// Per-op latency percentiles (and the maximum) across every completed
+	// operation, measured from the moment the request is queued to the
+	// moment its reply is decoded — so pipeline queueing shows up in the
+	// tail, exactly as a caller would experience it. Zero when no ops ran.
 	P50, P99, P999, PMax time.Duration
 
+	// Failure accounting by class. Timeouts/Resets/ProtoErrors/
+	// Unclassified count transport failure events (one burst-killing
+	// reset is one reset, however many ops it clipped); Busys counts
+	// StatusBusy shed replies; Ambiguous counts mutations clipped
+	// mid-pipeline (surfaced per the ErrAmbiguous contract, then
+	// re-issued — self-certifying values make the re-issue harmless);
+	// Retried counts ops re-queued for another attempt; Reconnects counts
+	// successful re-dials.
 	Timeouts, Resets, Busys, ProtoErrors, Unclassified int
 	Ambiguous, Retried, Reconnects                     int
 
+	// Oracle accounting: GET hits whose payload matched the key-derived
+	// pattern, and those that did not. Any WrongGets is a correctness
+	// failure of the serving path.
 	VerifiedGets, WrongGets int
 
 	// Failovers counts GET attempts rerouted to the key's replica after a
@@ -119,6 +166,11 @@ type LoadReport struct {
 	// excluded from Ops and the percentiles.
 	ReplicaSets, ReplicaErrors int
 
+	// WriterSets and WriterErrors aggregate the background writer
+	// connections (LoadConfig.Writers); excluded from Ops and the
+	// percentiles.
+	WriterSets, WriterErrors int
+
 	// PerNode breaks the measured latencies down by serving node — the
 	// per-node tail view zkvbench prints. Keys are node names.
 	PerNode map[string]NodeLatency
@@ -127,9 +179,10 @@ type LoadReport struct {
 	Reshard *ReshardReport
 }
 
-// oracleFill writes the self-certifying payload for key — same pattern
-// generator as the single-node harness, so a value is verifiable by any
-// client that knows the key and size.
+// oracleFill writes the self-certifying payload for key: every byte is a
+// pure function of the key, so any GET can be verified with no shared
+// state — by this process, another client, or a later run with the same
+// value size.
 func oracleFill(buf []byte, key uint64) {
 	x := hash.Mix64(key ^ 0x5ca1ab1e0ddba11)
 	for i := range buf {
@@ -146,19 +199,15 @@ func percentile(sorted []time.Duration, q float64) time.Duration {
 	return sorted[int(q*float64(len(sorted)-1))]
 }
 
-// backoff is the jittered exponential pause before retry n, deterministic
-// in (seed, n).
-func backoff(seed, n uint64) time.Duration {
-	d := 2 * time.Millisecond << min(n, 8)
-	if d > 300*time.Millisecond {
-		d = 300 * time.Millisecond
-	}
-	draw := hash.Mix64(seed ^ (n+1)*0x9e3779b97f4a7c15)
-	frac := float64(draw>>11) / float64(uint64(1)<<53)
-	return time.Duration((0.5 + frac) * float64(d))
-}
-
+// maxConsecutiveRedials bounds how long a client hammers a dead node
+// before giving up and failing the run.
 const maxConsecutiveRedials = 30
+
+// redialBackoff is the jittered exponential pause before redial n,
+// deterministic in (seed, n).
+func redialBackoff(seed uint64, n int) time.Duration {
+	return zkvproto.Backoff(seed, uint64(n), n+1, 2*time.Millisecond, 300*time.Millisecond)
+}
 
 // opRec is one measured operation. tries counts terminalless attempts:
 // a GET whose primary keeps failing alternates to the replica on odd
@@ -170,11 +219,13 @@ type opRec struct {
 	tries int
 }
 
+// classCounts is the per-client failure tally merged into the LoadReport.
 type classCounts struct {
 	timeouts, resets, busys, protoErrs, unclassified int
 	ambiguous, retried, reconnects                   int
 }
 
+// countEvent tallies one transport failure event by class.
 func (cc *classCounts) countEvent(class zkvproto.Class) {
 	switch class {
 	case zkvproto.ClassTimeout:
@@ -195,8 +246,7 @@ type clientResult struct {
 	failovers                      int
 	replicaSets, replicaErrs       int
 	cc                             classCounts
-	lats                           []time.Duration
-	nodeLats                       map[string][]time.Duration
+	pipes                          []*pipe
 	err                            error
 }
 
@@ -204,9 +254,12 @@ type clientResult struct {
 // cfg.Clients concurrent clients, each pipelining per-node bursts, and —
 // when a join is configured — reshards the cluster mid-run. Every
 // generated operation completes with a terminal reply (the completed
-// count is the dropped-request check: it equals Ops or the run errors),
-// faults are classified and retried, and the report carries per-node
-// latency breakdowns.
+// count is the dropped-request check: it equals Ops or the run errors).
+// Faults (timeouts, resets, StatusBusy sheds) are classified, counted, and
+// retried — GETs transparently, mutations via the ambiguous-then-reissue
+// path — rather than failing the run, and the report carries per-node
+// latency breakdowns. RunLoad returns an error only for setup failures, a
+// client that lost a node entirely, or a dropped operation.
 func RunLoad(cfg LoadConfig) (LoadReport, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -225,31 +278,43 @@ func RunLoad(cfg LoadConfig) (LoadReport, error) {
 		router = NewRouter(ring)
 		ccfg.Router = router
 	}
+	// Writers and stalled connections talk to the one node withDefaults
+	// guarantees when either is on.
+	addr := ccfg.dialAddr(router.Ring().Nodes()[0])
 
-	var completed atomic.Int64
-	results := make([]clientResult, cfg.Clients)
+	// Stalled readers: connect, then do nothing for the whole run. The
+	// server's idle/drain deadlines are what get them off the books.
+	for i := 0; i < cfg.Stall; i++ {
+		conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+		if err != nil {
+			return LoadReport{}, fmt.Errorf("zcluster: stall conn %d: %w", i, err)
+		}
+		defer conn.Close()
+	}
 
+	var (
+		completed atomic.Int64
+		results   = make([]clientResult, cfg.Clients)
+		wresults  = make([]writerResult, cfg.Writers)
+		stop      = make(chan struct{}) // closed when the measured clients finish
+		bg        sync.WaitGroup        // the join controller and the writers
+		joinRep   *ReshardReport
+		joinErr   error
+	)
 	// The join controller: wait for the op threshold, then drain an arc
 	// set onto the new node while the measured clients keep hammering.
-	var (
-		joinWG     sync.WaitGroup
-		joinRep    *ReshardReport
-		joinErr    error
-		stopJoin   = make(chan struct{})
-		joinOpts   = ccfg
-		joinActive = cfg.JoinNode != ""
-	)
-	if joinActive {
-		joinWG.Add(1)
+	if cfg.JoinNode != "" {
+		bg.Add(1)
 		go func() {
-			defer joinWG.Done()
+			defer bg.Done()
 			for completed.Load() < int64(cfg.JoinAfterOps) {
 				select {
-				case <-stopJoin:
+				case <-stop:
 					return // run ended (or failed) before the threshold
 				case <-time.After(time.Millisecond):
 				}
 			}
+			joinOpts := ccfg
 			joinOpts.Options.Seed = hash.Mix64(cfg.Seed ^ 0xc0ffee)
 			ctl, err := New(joinOpts)
 			if err != nil {
@@ -260,23 +325,41 @@ func RunLoad(cfg LoadConfig) (LoadReport, error) {
 			joinRep, joinErr = ctl.AddNode(cfg.JoinNode, ReshardOpts{PageBytes: cfg.JoinPageBytes})
 		}()
 	}
+	// Background writers run until the measured clients finish, keeping
+	// eviction walks and relocation chains in flight for the whole
+	// measurement window.
+	for wi := range wresults {
+		bg.Add(1)
+		go func() {
+			defer bg.Done()
+			wresults[wi] = runWriter(cfg, ccfg, addr, wi, stop)
+		}()
+	}
 
 	var wg sync.WaitGroup
 	start := time.Now()
-	for ci := 0; ci < cfg.Clients; ci++ {
+	for ci := range results {
 		wg.Add(1)
-		go func(ci int) {
+		go func() {
 			defer wg.Done()
 			results[ci] = runClusterClient(cfg, ccfg, router, ci, &completed)
-		}(ci)
+		}()
 	}
 	wg.Wait()
 	wall := time.Since(start)
-	close(stopJoin)
-	joinWG.Wait()
+	close(stop)
+	bg.Wait()
 
 	rep := LoadReport{Wall: wall, PerNode: make(map[string]NodeLatency)}
-	var lats []time.Duration
+	for i := range wresults {
+		r := &wresults[i]
+		if r.err != nil {
+			return rep, fmt.Errorf("zcluster: load writer %d: %w", i, r.err)
+		}
+		rep.WriterSets += r.sets
+		rep.WriterErrors += r.errs
+		rep.Reconnects += r.reconnects
+	}
 	nodeLats := make(map[string][]time.Duration)
 	for i := range results {
 		r := &results[i]
@@ -301,31 +384,30 @@ func RunLoad(cfg LoadConfig) (LoadReport, error) {
 		rep.Ambiguous += r.cc.ambiguous
 		rep.Retried += r.cc.retried
 		rep.Reconnects += r.cc.reconnects
-		lats = append(lats, r.lats...)
-		for node, ls := range r.nodeLats {
-			nodeLats[node] = append(nodeLats[node], ls...)
+		for _, p := range r.pipes {
+			if len(p.lats) > 0 {
+				nodeLats[p.node] = append(nodeLats[p.node], p.lats...)
+			}
 		}
 	}
 	rep.Ops = rep.Gets + rep.Sets
 	if wall > 0 {
 		rep.OpsPerSec = float64(rep.Ops) / wall.Seconds()
 	}
-	if len(lats) > 0 {
-		slices.Sort(lats)
-		rep.P50 = percentile(lats, 0.50)
-		rep.P99 = percentile(lats, 0.99)
-		rep.P999 = percentile(lats, 0.999)
-		rep.PMax = lats[len(lats)-1]
-	}
+	var all []time.Duration
 	for node, ls := range nodeLats {
 		slices.Sort(ls)
-		rep.PerNode[node] = NodeLatency{
-			Ops: len(ls),
-			P50: percentile(ls, 0.50), P99: percentile(ls, 0.99),
-			P999: percentile(ls, 0.999), PMax: ls[len(ls)-1],
-		}
+		rep.PerNode[node] = latencyOf(ls)
+		all = append(all, ls...)
 	}
-	if joinActive {
+	if len(nodeLats) > 1 {
+		slices.Sort(all) // each node's run is sorted, their concatenation is not
+	}
+	if len(all) > 0 {
+		l := latencyOf(all)
+		rep.P50, rep.P99, rep.P999, rep.PMax = l.P50, l.P99, l.P999, l.PMax
+	}
+	if cfg.JoinNode != "" {
 		rep.Reshard = joinRep
 		if joinErr != nil {
 			return rep, fmt.Errorf("zcluster: mid-run join: %w", joinErr)
@@ -342,35 +424,111 @@ func RunLoad(cfg LoadConfig) (LoadReport, error) {
 	return rep, nil
 }
 
-// nodeConns is one client's lazily-dialed connection set, keyed by node.
-type nodeConns struct {
-	ccfg  Config
-	seed  uint64
-	conns map[string]*zkvproto.Client
+// writerResult is one background writer's tally.
+type writerResult struct {
+	sets, errs, reconnects int
+	err                    error
 }
 
-func (nc *nodeConns) get(node string) (*zkvproto.Client, error) {
-	if cl, ok := nc.conns[node]; ok {
-		return cl, nil
-	}
-	opts := nc.ccfg.Options
-	opts.Seed = hash.Mix64(nc.seed ^ hash.Bytes64([]byte(node)))
-	addr := node
-	if a, ok := nc.ccfg.DialAddr[node]; ok {
-		addr = a
-	}
+// runWriter is one background writer's life: all-SET bursts to addr until
+// stop closes, answering any failure by reconnecting and pressing on. Its
+// payloads are the oracle's, stamped from a version range disjoint from
+// every measured client's, so the measured clients' reads verify them.
+func runWriter(cfg LoadConfig, ccfg Config, addr string, wi int, stop <-chan struct{}) (res writerResult) {
+	// A distinct salt keeps writer key streams decorrelated from the
+	// measured clients'.
+	rng := hash.Mix64(cfg.Seed ^ 0xa5a5a5a55a5a5a5a ^ (uint64(wi)+1)*0x9e3779b97f4a7c15)
+	opts := ccfg.Options
+	opts.Seed = rng
 	cl, err := zkvproto.DialOptions(addr, opts)
 	if err != nil {
-		return nil, err
+		res.err = err
+		return res
 	}
-	nc.conns[node] = cl
-	return cl, nil
+	defer cl.Close()
+	version := ccfg.StampBase + uint64(cfg.Clients+wi+1)<<40
+	key := make([]byte, 8)
+	val := make([]byte, cfg.ValBytes)
+	env := make([]byte, 0, cfg.ValBytes+zkvproto.StampLen)
+	redials := 0
+	for {
+		select {
+		case <-stop:
+			return res
+		default:
+		}
+		if cfg.OpTimeout > 0 {
+			cl.SetDeadline(time.Now().Add(cfg.OpTimeout))
+		}
+		burstErr := func() error {
+			for b := 0; b < cfg.Pipeline; b++ {
+				rng ^= rng >> 12
+				rng ^= rng << 25
+				rng ^= rng >> 27
+				k := rng * 0x2545f4914f6cdd1d % uint64(cfg.KeySpace)
+				binary.BigEndian.PutUint64(key, k)
+				if cfg.Oracle {
+					oracleFill(val, k)
+				}
+				version++
+				env = zkvproto.AppendStamped(env[:0], version, val)
+				if err := cl.QueueSet(key, env); err != nil {
+					return err
+				}
+			}
+			if err := cl.Flush(); err != nil {
+				return err
+			}
+			for b := 0; b < cfg.Pipeline; b++ {
+				resp, err := cl.ReadReply()
+				if err != nil {
+					return err
+				}
+				switch resp.Status {
+				case zkvproto.StatusOK:
+					res.sets++
+				case zkvproto.StatusBusy:
+					// Shed, not executed; the writer pool is unmetered
+					// pressure, so just move on.
+				default:
+					res.errs++
+				}
+			}
+			return nil
+		}()
+		if burstErr == nil {
+			redials = 0
+			continue
+		}
+		for {
+			select {
+			case <-stop:
+				return res
+			default:
+			}
+			if err := cl.Reconnect(); err == nil {
+				res.reconnects++
+				redials = 0
+				break
+			}
+			redials++
+			if redials >= maxConsecutiveRedials {
+				res.err = burstErr
+				return res
+			}
+			time.Sleep(redialBackoff(rng, redials))
+		}
+	}
 }
 
-func (nc *nodeConns) closeAll() {
-	for _, cl := range nc.conns {
-		cl.Close()
-	}
+// pipe is one measured client's pipelined connection to one node: the
+// burst's queued requests and every latency the node has served.
+type pipe struct {
+	node   string
+	cl     *zkvproto.Client // nil until first dialed
+	q      []qop
+	failed bool // the transport failed during this burst
+	lats   []time.Duration
 }
 
 // qop is one queued request awaiting its reply on some node's pipe.
@@ -389,14 +547,48 @@ type qop struct {
 func runClusterClient(cfg LoadConfig, ccfg Config, router *Router, ci int, completed *atomic.Int64) (res clientResult) {
 	rng := hash.Mix64(cfg.Seed ^ (uint64(ci)+1)*0x9e3779b97f4a7c15)
 	jitterSeed := rng
-	nc := &nodeConns{ccfg: ccfg, seed: jitterSeed, conns: make(map[string]*zkvproto.Client)}
-	defer nc.closeAll()
-	res.nodeLats = make(map[string][]time.Duration)
-
+	defer func() {
+		for _, p := range res.pipes {
+			if p.cl != nil {
+				p.cl.Close()
+			}
+		}
+	}()
+	// dial connects p to its node, with a jitter seed derived from the
+	// client's and the node name.
+	dial := func(p *pipe) error {
+		opts := ccfg.Options
+		opts.Seed = hash.Mix64(jitterSeed ^ hash.Bytes64([]byte(p.node)))
+		cl, err := zkvproto.DialOptions(ccfg.dialAddr(p.node), opts)
+		p.cl = cl
+		return err
+	}
 	ops := cfg.Ops / cfg.Clients
 	if ci < cfg.Ops%cfg.Clients {
 		ops++
 	}
+	// pipeOf returns node's pipe, dialing it on first use. A client talks
+	// to a handful of nodes, so a scan beats a map. The latency slice is
+	// sized for the client's every op, so recording one never grows it.
+	pipeOf := func(node string) (*pipe, error) {
+		var p *pipe
+		for _, q := range res.pipes {
+			if q.node == node {
+				p = q
+				break
+			}
+		}
+		if p == nil {
+			p = &pipe{node: node, lats: make([]time.Duration, 0, ops)}
+			res.pipes = append(res.pipes, p)
+		}
+		if p.cl == nil {
+			return p, dial(p)
+		}
+		return p, nil
+	}
+	// GetFrac as a threshold over the low 16 bits of the op's random
+	// draw: deterministic, no float per op.
 	getCut := uint64(cfg.GetFrac * 65536)
 	// Disjoint stamp ranges per client keep cross-client versions from
 	// colliding; the payload is key-derived either way.
@@ -405,62 +597,72 @@ func runClusterClient(cfg LoadConfig, ccfg Config, router *Router, ci int, compl
 	val := make([]byte, cfg.ValBytes)
 	expect := make([]byte, cfg.ValBytes)
 	env := make([]byte, 0, cfg.ValBytes+zkvproto.StampLen)
-	var backlog []opRec
-	res.lats = make([]time.Duration, 0, ops)
-	pending := make(map[string][]qop)
+	burst := make([]opRec, 0, cfg.Pipeline)
+	var backlog []opRec // clipped/shed ops awaiting re-issue
 	generated, done, redials := 0, 0, 0
-	consecFails := 0
+	consecFails := 0 // bursts failed in a row; paces the redial storm
 
-	// requeue sends every unanswered measured op from a dead node's pipe
-	// back through the backlog and reconnects that node's pipe, pacing
-	// consecutive failures. Returns false when the node stays unreachable
+	// requeue marks pipe p failed for this burst, sends every unanswered
+	// measured op on it from index from on back through the backlog
+	// (replies before from were terminal), and re-dials its node with
+	// seeded backoff. Returns false when the node stays unreachable
 	// past the redial budget.
-	requeue := func(node string, from int, err error) bool {
+	requeue := func(p *pipe, from int, err error) bool {
 		res.cc.countEvent(zkvproto.Classify(err))
-		for _, q := range pending[node][from:] {
+		p.failed = true
+		for _, q := range p.q[from:] {
 			if q.replica {
 				res.replicaErrs++
 				continue
 			}
 			if !q.op.get {
+				// The mutation may or may not have executed: the
+				// ambiguity contract. Self-certifying values make the
+				// re-issue harmless.
 				res.cc.ambiguous++
 			}
 			res.cc.retried++
 			q.op.tries++
 			backlog = append(backlog, q.op)
 		}
-		pending[node] = pending[node][:0]
+		p.q = p.q[:0]
+		// Back off before re-dialing when failures are consecutive:
+		// without this, a shed-then-close from an exhausted server pool
+		// turns into a reconnect hammer that keeps the pool exhausted.
 		consecFails++
 		if consecFails > 1 {
-			time.Sleep(backoff(jitterSeed^0xf00d, uint64(consecFails-1)))
-		}
-		cl, ok := nc.conns[node]
-		if !ok {
-			return true // never dialed; next use re-dials
+			time.Sleep(redialBackoff(jitterSeed^0xf00d, consecFails-1))
 		}
 		for {
-			if err := cl.Reconnect(); err == nil {
+			if p.cl == nil {
+				err = dial(p)
+			} else {
+				err = p.cl.Reconnect()
+			}
+			if err == nil {
 				res.cc.reconnects++
 				redials = 0
 				return true
 			}
 			redials++
 			if redials >= maxConsecutiveRedials {
-				res.err = fmt.Errorf("node %s unreachable after %d redials: %w", node, redials, err)
+				res.err = fmt.Errorf("node %s unreachable after %d redials: %w", p.node, redials, err)
 				return false
 			}
-			time.Sleep(backoff(jitterSeed, uint64(redials)))
+			time.Sleep(redialBackoff(jitterSeed, redials))
 		}
 	}
 
 	for done < ops {
 		// Assemble the burst: clipped ops first, fresh after.
-		burst := make([]opRec, 0, cfg.Pipeline)
+		doneBefore := done
+		burst = burst[:0]
 		for len(burst) < cfg.Pipeline && len(backlog) > 0 {
 			burst = append(burst, backlog[len(backlog)-1])
 			backlog = backlog[:len(backlog)-1]
 		}
 		for len(burst) < cfg.Pipeline && generated < ops {
+			// xorshift64*
 			rng ^= rng >> 12
 			rng ^= rng << 25
 			rng ^= rng >> 27
@@ -471,13 +673,17 @@ func runClusterClient(cfg LoadConfig, ccfg Config, router *Router, ci int, compl
 
 		// Partition by node under the current ring and queue the frames.
 		ring := router.Ring()
-		for node := range pending {
-			pending[node] = pending[node][:0]
+		for _, p := range res.pipes {
+			p.q, p.failed = p.q[:0], false
 		}
-		failed := make(map[string]bool)
 		for _, op := range burst {
 			binary.BigEndian.PutUint64(key, op.key)
-			pri, rep := ring.PrimaryReplica(PointOf(key))
+			pri, rep := ring.nodes[0], ring.nodes[0]
+			if len(ring.nodes) > 1 {
+				// A one-node ring owns every key. Asking it would hash the
+				// key, then scan every vnode for a replica it cannot have.
+				pri, rep = ring.PrimaryReplica(PointOf(key))
+			}
 			r2 := ccfg.Replication == 2 && rep != pri
 			node := pri
 			if op.get && r2 && op.tries%2 == 1 {
@@ -485,31 +691,30 @@ func runClusterClient(cfg LoadConfig, ccfg Config, router *Router, ci int, compl
 				node = rep
 				res.failovers++
 			}
-			if failed[node] {
+			p, err := pipeOf(node)
+			if p.failed {
 				op.tries++
 				res.cc.retried++
 				backlog = append(backlog, op)
 				continue
 			}
-			cl, err := nc.get(node)
 			if err == nil {
-				if cfg.OpTimeout > 0 && len(pending[node]) == 0 {
-					cl.SetDeadline(time.Now().Add(cfg.OpTimeout))
+				if cfg.OpTimeout > 0 && len(p.q) == 0 {
+					p.cl.SetDeadline(time.Now().Add(cfg.OpTimeout))
 				}
 				if op.get {
-					err = cl.QueueGet(key)
+					err = p.cl.QueueGet(key)
 				} else {
 					if cfg.Oracle {
 						oracleFill(val, op.key)
 					}
 					version++
 					env = zkvproto.AppendStamped(env[:0], version, val)
-					err = cl.QueueSet(key, env)
+					err = p.cl.QueueSet(key, env)
 				}
 			}
 			if err != nil {
-				failed[node] = true
-				if !requeue(node, 0, err) {
+				if !requeue(p, 0, err) {
 					return res
 				}
 				op.tries++
@@ -520,79 +725,71 @@ func runClusterClient(cfg LoadConfig, ccfg Config, router *Router, ci int, compl
 				backlog = append(backlog, op)
 				continue
 			}
-			pending[node] = append(pending[node], qop{op: op, at: time.Now()})
+			p.q = append(p.q, qop{op: op, at: time.Now()})
 			// R=2 write fan-out rides the same burst on the replica's pipe.
-			if !op.get && r2 && !failed[rep] {
-				if rcl, rerr := nc.get(rep); rerr != nil {
+			if !op.get && r2 {
+				rp, rerr := pipeOf(rep)
+				switch {
+				case rp.failed:
+				case rerr != nil:
 					res.replicaErrs++
-				} else {
-					if cfg.OpTimeout > 0 && len(pending[rep]) == 0 {
-						rcl.SetDeadline(time.Now().Add(cfg.OpTimeout))
+				default:
+					if cfg.OpTimeout > 0 && len(rp.q) == 0 {
+						rp.cl.SetDeadline(time.Now().Add(cfg.OpTimeout))
 					}
-					if rerr := rcl.QueueSet(key, env); rerr != nil {
-						failed[rep] = true
-						if !requeue(rep, 0, rerr) {
+					if rerr := rp.cl.QueueSet(key, env); rerr != nil {
+						if !requeue(rp, 0, rerr) {
 							return res
 						}
 					} else {
-						pending[rep] = append(pending[rep], qop{op: op, at: time.Now(), replica: true})
+						rp.q = append(rp.q, qop{op: op, at: time.Now(), replica: true})
 					}
 				}
 			}
 		}
 
-		// Flush, then drain each node's pipe in queue order.
+		// Flush, then drain each node's pipe in queue order. A failed
+		// pipe's queue is already empty.
 		burstOK := true
-		for node, q := range pending {
-			if len(q) == 0 || failed[node] {
+		for _, p := range res.pipes {
+			if len(p.q) == 0 {
 				continue
 			}
-			cl, _ := nc.get(node)
-			if err := cl.Flush(); err != nil {
-				failed[node] = true
+			if err := p.cl.Flush(); err != nil {
 				burstOK = false
-				if !requeue(node, 0, err) {
+				if !requeue(p, 0, err) {
 					return res
 				}
 			}
 		}
-		for node, q := range pending {
-			if len(q) == 0 || failed[node] {
-				continue
-			}
-			cl, _ := nc.get(node)
-			for qi := range q {
-				resp, err := cl.ReadReply()
+		for _, p := range res.pipes {
+			for qi, rec := range p.q {
+				resp, err := p.cl.ReadReply()
 				if err != nil {
-					failed[node] = true
 					burstOK = false
-					if !requeue(node, qi, err) {
+					if !requeue(p, qi, err) {
 						return res
 					}
 					break
 				}
-				rec := q[qi]
 				if rec.replica {
-					switch resp.Status {
-					case zkvproto.StatusOK:
+					if resp.Status == zkvproto.StatusOK {
 						res.replicaSets++
-					default:
+					} else {
 						res.replicaErrs++
 					}
 					continue
 				}
 				if resp.Status == zkvproto.StatusBusy {
+					// Shed, not executed: retry is safe for any op.
 					res.cc.busys++
 					res.cc.retried++
 					rec.op.tries++
 					backlog = append(backlog, rec.op)
 					continue
 				}
-				lat := time.Since(rec.at)
-				res.lats = append(res.lats, lat)
-				res.nodeLats[node] = append(res.nodeLats[node], lat)
+				p.lats = append(p.lats, time.Since(rec.at))
 				done++
-				completed.Add(1)
 				switch {
 				case rec.op.get && resp.Status == zkvproto.StatusOK:
 					res.gets++
@@ -616,6 +813,9 @@ func runClusterClient(cfg LoadConfig, ccfg Config, router *Router, ci int, compl
 				}
 			}
 		}
+		// Published once per burst: a shared counter bumped per op
+		// bounces its cache line between the clients.
+		completed.Add(int64(done - doneBefore))
 		if burstOK {
 			consecFails = 0
 		}

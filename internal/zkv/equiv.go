@@ -34,111 +34,125 @@ type EquivReport struct {
 // forced to 1 (sharding partitions the key space across independent
 // arrays; the simulator equivalent of a sharded store is one bank per
 // shard, which the per-shard claim covers one shard at a time).
+func ReplayEquiv(w workloads.Workload, cfg Config, accesses int) (EquivReport, error) {
+	reps, err := ReplayRouted(w, cfg, []uint64{cfg.Seed}, func([]byte) int { return 0 }, accesses)
+	if err != nil {
+		return EquivReport{Workload: w.Name, Accesses: accesses}, err
+	}
+	return reps[0], nil
+}
+
+// ReplayRouted is the replay-and-compare core of every equivalence
+// harness. It replays accesses references of workload w onto len(seeds)
+// one-shard stores, store i built from cfg with seed seeds[i] and paired
+// with its simulator-built reference (NewRefCache), routing each key to
+// store route(key). It returns one report per store; each Accesses counts
+// the references that store saw.
 //
 // The mapping is the one zcached serves: each trace line address becomes an
 // 8-byte key; reads are Get (filling on miss), writes are Set. The
 // reference cache sees the key's fingerprint as its line address, so both
-// engines hash, walk, relocate, and evict over the same 64-bit space.
-func ReplayEquiv(w workloads.Workload, cfg Config, accesses int) (EquivReport, error) {
-	cfg.Shards = 1
-	cfg = cfg.withDefaults()
-	rep := EquivReport{Workload: w.Name, Accesses: accesses}
-
-	store, err := Open(cfg)
-	if err != nil {
-		return rep, err
+// engines hash, walk, relocate, and evict over the same 64-bit space. One
+// trace stream, seeded with cfg.Seed, has its footprint anchored to the
+// stores' total capacity, so the workload presets stress eviction the way
+// they stress a simulated L2.
+func ReplayRouted(w workloads.Workload, cfg Config, seeds []uint64, route func(key []byte) int, accesses int) ([]EquivReport, error) {
+	type pair struct {
+		store                 *Store
+		ref                   *cache.Cache
+		refVictims, kvVictims []uint64
+	}
+	pairs := make([]pair, len(seeds))
+	reps := make([]EquivReport, len(seeds))
+	capacity := uint64(0)
+	for i := range pairs {
+		scfg := cfg
+		scfg.Shards, scfg.Seed = 1, seeds[i]
+		p := &pairs[i]
+		var err error
+		if p.store, err = Open(scfg); err != nil {
+			return nil, err
+		}
+		defer p.store.Close()
+		if p.ref, err = NewRefCache(scfg); err != nil {
+			return nil, err
+		}
+		p.ref.OnEviction = func(addr uint64, dirty bool) { p.refVictims = append(p.refVictims, addr) }
+		p.store.SetEvictHook(func(shard int, line uint64) { p.kvVictims = append(p.kvVictims, line) })
+		capacity += uint64(p.store.Capacity())
+		reps[i].Workload = w.Name
 	}
 
-	ref, err := NewRefCache(cfg)
-	if err != nil {
-		return rep, err
-	}
-
-	var refVictims, kvVictims []uint64
-	ref.OnEviction = func(addr uint64, dirty bool) { refVictims = append(refVictims, addr) }
-	store.SetEvictHook(func(shard int, line uint64) { kvVictims = append(kvVictims, line) })
-
-	// One core, footprints anchored to the store capacity so the workload
-	// presets stress eviction the way they stress a simulated L2.
 	const lineBytes = 64
-	gens, err := w.Generators(1, lineBytes, uint64(store.Capacity())*lineBytes, cfg.Seed)
+	gens, err := w.Generators(1, lineBytes, capacity*lineBytes, cfg.Seed)
 	if err != nil {
-		return rep, err
+		return nil, err
 	}
-	gen := gens[0]
-
 	var (
 		key   [8]byte
 		val   [16]byte
 		dst   []byte
 		batch = make([]trace.Access, 256)
 	)
-	done := 0
-	for done < accesses {
-		want := len(batch)
-		if accesses-done < want {
-			want = accesses - done
-		}
-		n := trace.FillBatch(gen, batch[:want])
+	for done := 0; done < accesses; {
+		n := trace.FillBatch(gens[0], batch[:min(len(batch), accesses-done)])
 		if n == 0 {
 			break
 		}
 		for _, a := range batch[:n] {
 			line := a.Addr / lineBytes
 			binary.BigEndian.PutUint64(key[:], line)
-			fp := hash.Bytes64(key[:])
-			ref.Access(fp, a.Write)
-			if a.Write {
+			i := route(key[:])
+			p := &pairs[i]
+			reps[i].Accesses++
+			p.ref.Access(hash.Bytes64(key[:]), a.Write)
+			var ok bool
+			if !a.Write {
+				dst, ok = p.store.Get(key[:], dst[:0])
+			}
+			if !ok {
 				binary.BigEndian.PutUint64(val[:], line)
-				if err := store.Set(key[:], val[:]); err != nil {
-					return rep, err
-				}
-			} else {
-				var ok bool
-				dst, ok = store.Get(key[:], dst[:0])
-				if !ok {
-					binary.BigEndian.PutUint64(val[:], line)
-					if err := store.Set(key[:], val[:]); err != nil {
-						return rep, err
-					}
+				if err := p.store.Set(key[:], val[:]); err != nil {
+					return nil, err
 				}
 			}
 		}
 		done += n
 	}
-	rep.Accesses = done
 
-	refStats := ref.Stats()
-	kv := store.Stats()
-	rep.Hits, rep.Misses = refStats.Hits, refStats.Misses
-	rep.Victims = len(refVictims)
-	rep.Match = true
-
-	kvHits := kv.GetHits + kv.Overwrites
-	kvMisses := kv.Inserts
-	switch {
-	case kv.Collisions != 0:
-		// An 8-byte-key replay cannot alias fingerprints short of a
-		// Bytes64 collision; treat one as a divergence, not luck.
-		rep.Match, rep.Detail = false, fmt.Sprintf("%d fingerprint collisions", kv.Collisions)
-	case kvHits != refStats.Hits || kvMisses != refStats.Misses:
-		rep.Match = false
-		rep.Detail = fmt.Sprintf("hit/miss mismatch: ref %d/%d, zkv %d/%d",
-			refStats.Hits, refStats.Misses, kvHits, kvMisses)
-	case len(refVictims) != len(kvVictims):
-		rep.Match = false
-		rep.Detail = fmt.Sprintf("victim count mismatch: ref %d, zkv %d", len(refVictims), len(kvVictims))
-	default:
-		for i := range refVictims {
-			if refVictims[i] != kvVictims[i] {
-				rep.Match = false
-				rep.Detail = fmt.Sprintf("victim %d diverges: ref %#x, zkv %#x",
-					i, refVictims[i], kvVictims[i])
-				break
+	for i := range pairs {
+		p, rep := &pairs[i], &reps[i]
+		refStats := p.ref.Stats()
+		kv := p.store.Stats()
+		rep.Hits, rep.Misses = refStats.Hits, refStats.Misses
+		rep.Victims = len(p.refVictims)
+		rep.Match = true
+		kvHits := kv.GetHits + kv.Overwrites
+		kvMisses := kv.Inserts
+		switch {
+		case kv.Collisions != 0:
+			// An 8-byte-key replay cannot alias fingerprints short of a
+			// Bytes64 collision; treat one as a divergence, not luck.
+			rep.Match, rep.Detail = false, fmt.Sprintf("%d fingerprint collisions", kv.Collisions)
+		case kvHits != refStats.Hits || kvMisses != refStats.Misses:
+			rep.Match = false
+			rep.Detail = fmt.Sprintf("hit/miss mismatch: ref %d/%d, zkv %d/%d",
+				refStats.Hits, refStats.Misses, kvHits, kvMisses)
+		case len(p.refVictims) != len(p.kvVictims):
+			rep.Match = false
+			rep.Detail = fmt.Sprintf("victim count mismatch: ref %d, zkv %d", len(p.refVictims), len(p.kvVictims))
+		default:
+			for vi := range p.refVictims {
+				if p.refVictims[vi] != p.kvVictims[vi] {
+					rep.Match = false
+					rep.Detail = fmt.Sprintf("victim %d diverges: ref %#x, zkv %#x",
+						vi, p.refVictims[vi], p.kvVictims[vi])
+					break
+				}
 			}
 		}
 	}
-	return rep, nil
+	return reps, nil
 }
 
 // NewRefCache builds the simulator-equivalent reference engine for a

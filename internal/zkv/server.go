@@ -307,15 +307,34 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// clampDrain caps t at the drain deadline once Shutdown has begun. A zero
-// t means "no deadline" and clamps to the drain deadline alone.
-func (s *Server) clampDrain(t time.Time) time.Time {
-	if dd := s.drainDeadline.Load(); dd != 0 {
+// clampDrain caps t at drain deadline dd (unix nanos) once Shutdown has
+// begun (dd != 0). A zero t means "no deadline" and clamps to dd alone.
+func clampDrain(t time.Time, dd int64) time.Time {
+	if dd != 0 {
 		if d := time.Unix(0, dd); t.IsZero() || d.Before(t) {
 			return d
 		}
 	}
 	return t
+}
+
+// arm sets one of conn's deadlines (set is SetReadDeadline or
+// SetWriteDeadline) to t, clamped to the drain deadline. Shutdown may store
+// the drain deadline and set its own conn deadline between this load and
+// this set, and ours would then win unclamped; so when draining began
+// meanwhile, the deadline is set again, clamped.
+func (s *Server) arm(conn net.Conn, read bool, t time.Time) {
+	set := conn.SetWriteDeadline
+	if read {
+		set = conn.SetReadDeadline
+	}
+	dd := s.drainDeadline.Load()
+	set(clampDrain(t, dd))
+	if dd == 0 {
+		if dd = s.drainDeadline.Load(); dd != 0 {
+			set(clampDrain(t, dd))
+		}
+	}
 }
 
 // armRead sets conn's read deadline to d from now (none for d <= 0),
@@ -325,14 +344,14 @@ func (s *Server) armRead(conn net.Conn, d time.Duration) {
 	if d > 0 {
 		t = time.Now().Add(d)
 	}
-	conn.SetReadDeadline(s.clampDrain(t))
+	s.arm(conn, true, t)
 }
 
 // armWrite sets conn's write deadline to WriteTimeout from now, clamped to
 // the drain deadline. It does nothing when WriteTimeout is disabled.
 func (s *Server) armWrite(conn net.Conn) {
 	if s.cfg.WriteTimeout > 0 {
-		conn.SetWriteDeadline(s.clampDrain(time.Now().Add(s.cfg.WriteTimeout)))
+		s.arm(conn, false, time.Now().Add(s.cfg.WriteTimeout))
 	}
 }
 

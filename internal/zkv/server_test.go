@@ -10,6 +10,7 @@ import (
 	"net"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -458,32 +459,90 @@ func TestServerRobustnessMetrics(t *testing.T) {
 	}
 }
 
-func TestRunLoad(t *testing.T) {
-	srv, addr, errc := startServer(t, ServerConfig{})
-	defer shutdownServer(t, srv, errc)
+// armRaceConn forces the drain-deadline lost update. Its first
+// SetReadDeadline is the handler arming its idle deadline, after it has
+// read the (still unset) drain deadline: the call begins Shutdown and
+// waits until Shutdown has set its own deadline on the conn (the second
+// call), so the handler's unclamped deadline lands last.
+type armRaceConn struct {
+	net.Conn
+	calls    atomic.Int32
+	shutdown func()
+	drainSet chan struct{}
+}
 
-	rep, err := RunLoad(LoadConfig{
-		Addr: addr, Clients: 4, Ops: 20000, KeySpace: 1024,
-		ValBytes: 32, GetFrac: 0.8, Pipeline: 16, Seed: 7,
-	})
+func (c *armRaceConn) SetReadDeadline(t time.Time) error {
+	switch c.calls.Add(1) {
+	case 1:
+		go c.shutdown()
+		<-c.drainSet
+	case 2:
+		defer close(c.drainSet)
+	}
+	return c.Conn.SetReadDeadline(t)
+}
+
+type armRaceListener struct {
+	net.Listener
+	shutdown func()
+}
+
+func (l armRaceListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &armRaceConn{Conn: conn, shutdown: l.shutdown, drainSet: make(chan struct{})}, nil
+}
+
+// TestShutdownClampsRacingArm: when Shutdown begins between a handler's
+// drain-deadline check and its SetReadDeadline, the handler must still end
+// up under the drain deadline, so Shutdown returns within DrainTimeout and
+// not after IdleTimeout.
+func TestShutdownClampsRacingArm(t *testing.T) {
+	store, err := Open(Config{Shards: 2, Ways: 4, Rows: 256, Levels: 2, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Errors != 0 {
-		t.Fatalf("load saw %d errors", rep.Errors)
+	const idle, drain = 5 * time.Second, 100 * time.Millisecond
+	srv := NewServer(store, ServerConfig{IdleTimeout: idle, DrainTimeout: drain})
+	type result struct {
+		took time.Duration
+		err  error
 	}
-	if rep.Ops != 20000 {
-		t.Fatalf("completed %d ops, want 20000", rep.Ops)
+	shut := make(chan result, 1)
+	shutdown := func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		start := time.Now()
+		err := srv.Shutdown(ctx)
+		shut <- result{time.Since(start), err}
 	}
-	if rep.Gets == 0 || rep.Sets == 0 || rep.Hits == 0 {
-		t.Fatalf("degenerate mix: %+v", rep)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rep.OpsPerSec <= 0 {
-		t.Fatalf("ops/s = %v", rep.OpsPerSec)
+	errc := make(chan error, 1)
+	go func() { errc <- srv.Serve(armRaceListener{Listener: ln, shutdown: shutdown}) }()
+
+	// A silent client: its handler arms the idle deadline and waits.
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rep.P50 <= 0 || rep.P99 < rep.P50 || rep.P999 < rep.P99 || rep.PMax < rep.P999 {
-		t.Fatalf("latency percentiles not monotone: p50=%v p99=%v p999=%v max=%v",
-			rep.P50, rep.P99, rep.P999, rep.PMax)
+	defer conn.Close()
+	r := <-shut
+	if r.err != nil {
+		t.Fatalf("shutdown: %v", r.err)
+	}
+	if r.took > 20*drain {
+		t.Fatalf("shutdown took %v: the handler kept its %v idle deadline past the %v drain", r.took, idle, drain)
+	}
+	if err := <-errc; !errors.Is(err, ErrServerClosed) {
+		t.Fatalf("Serve returned %v, want ErrServerClosed", err)
+	}
+	if got := srv.ShedStats(); got.DrainCloses != 1 {
+		t.Fatalf("drain force-closes = %d, want 1", got.DrainCloses)
 	}
 }
 

@@ -146,18 +146,26 @@ func (c *Client) Reconnect() error {
 	return nil
 }
 
-// backoffDelay is the pause before retry attempt n (1-based): exponential
-// in n, capped, with deterministic jitter drawn from (Seed, draw index).
+// backoffDelay is the pause before retry attempt n (1-based), each call
+// drawing the next jitter from the client's seed.
 func (c *Client) backoffDelay(attempt int) time.Duration {
-	d := c.opts.BackoffMax
+	c.nBackoff++
+	return Backoff(c.opts.Seed, c.nBackoff-1, attempt, c.opts.BackoffBase, c.opts.BackoffMax)
+}
+
+// Backoff is the seeded jittered exponential pause before retry attempt
+// (1-based): base<<(attempt-1) capped at maxDelay, scaled by a jitter factor in
+// [0.5, 1.5) drawn from (seed, draw). It is a pure function of its
+// arguments, so a fault schedule replays from its seed.
+func Backoff(seed, draw uint64, attempt int, base, maxDelay time.Duration) time.Duration {
+	d := maxDelay
 	if attempt-1 < 20 { // beyond 1<<20 the cap always wins
-		if exp := c.opts.BackoffBase << (attempt - 1); exp < d {
+		if exp := base << (attempt - 1); exp < d {
 			d = exp
 		}
 	}
-	draw := hash.Mix64(c.opts.Seed ^ (c.nBackoff+1)*0x9e3779b97f4a7c15)
-	c.nBackoff++
-	frac := float64(draw>>11) / float64(uint64(1)<<53) // [0,1)
+	x := hash.Mix64(seed ^ (draw+1)*0x9e3779b97f4a7c15)
+	frac := float64(x>>11) / float64(uint64(1)<<53) // [0,1)
 	return time.Duration((0.5 + frac) * float64(d))
 }
 
