@@ -41,6 +41,52 @@ func TestRunLoad(t *testing.T) {
 	}
 }
 
+// TestRunLoadRetriesFirstDial points a one-node ring at an address that
+// refuses connections until a forwarder comes up there. The clients
+// re-dial under the backoff budget and complete every op, and reaching
+// the node at last is not a reconnect: no connection existed to re-dial.
+func TestRunLoadRetriesFirstDial(t *testing.T) {
+	addr := startNode(t, 5)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	late := ln.Addr().String()
+	ln.Close()
+	spec, err := netchaos.ParseSpec("", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proxy := netchaos.New(addr, spec)
+	defer proxy.Close()
+	up := make(chan error, 1)
+	go func() {
+		time.Sleep(50 * time.Millisecond)
+		up <- proxy.Start(late)
+	}()
+
+	ccfg := oneNode(addr)
+	ccfg.DialAddr = map[string]string{addr: late}
+	rep, err := RunLoad(LoadConfig{
+		Cluster: ccfg, Clients: 2, Ops: 2000, KeySpace: 256, Seed: 3, Oracle: true,
+	})
+	if perr := <-up; perr != nil {
+		t.Fatalf("forwarder on %s: %v", late, perr)
+	}
+	if err != nil {
+		t.Fatalf("RunLoad with a late node: %v", err)
+	}
+	if rep.Ops != 2000 || rep.WrongGets != 0 {
+		t.Fatalf("ops=%d wrong=%d, want 2000 and 0", rep.Ops, rep.WrongGets)
+	}
+	if rep.Resets == 0 || rep.Unclassified != 0 {
+		t.Fatalf("no refused dial was classified: %+v", rep)
+	}
+	if rep.Reconnects != 0 {
+		t.Fatalf("first dials counted as %d reconnects", rep.Reconnects)
+	}
+}
+
 // TestRunLoadChaos drives the full load harness through a netchaos proxy
 // injecting latency, resets, and blackholes, with a stalled connection
 // parked on the server. The contract under faults: every operation

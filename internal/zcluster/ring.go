@@ -114,6 +114,11 @@ func (r *Ring) Primary(p uint64) string {
 // cluster rather than pinned to one neighbor. In a one-node ring the
 // replica equals the primary (callers treat that as "no replica").
 func (r *Ring) PrimaryReplica(p uint64) (primary, replica string) {
+	if len(r.nodes) == 1 {
+		// The one node owns every point; the scan below would visit every
+		// vnode looking for a replica it cannot find.
+		return r.nodes[0], r.nodes[0]
+	}
 	i := r.ownerIdx(p)
 	pn := r.points[i].node
 	primary = r.nodes[pn]

@@ -196,8 +196,8 @@ func TestPrimaryReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range samplePoints(1024) {
-		if pri, rep := single.PrimaryReplica(p); rep != pri {
-			t.Fatalf("one-node ring grew a distinct replica")
+		if pri, rep := single.PrimaryReplica(p); rep != pri || pri != single.Primary(p) {
+			t.Fatalf("one-node ring: PrimaryReplica = (%s, %s), Primary = %s", pri, rep, single.Primary(p))
 		}
 		pri, rep := multi.PrimaryReplica(p)
 		if rep == pri {
